@@ -33,7 +33,14 @@ from . import lie_so31
 from .errors import DomainError, ParseError, SpectralError
 from .geodesic import PrimitiveClass, Spectrum, classify
 from .multisets import RealMultiset
-from .recovery import RecoveryReport, match_multisets, recover_lengths, recover_ratios, smo_check
+from .recovery import (
+    RecoveryReport,
+    _multiset_json,
+    match_multisets,
+    recover_lengths,
+    recover_ratios,
+    smo_check,
+)
 from .zeros import ZeroWindow, strip_k0, zero_line, zero_multiset
 from .zeta import log_derivative, zeta_tau
 
@@ -125,18 +132,23 @@ def _normalize_holonomy(h: float, where: str) -> float:
     return reduced
 
 
+def _integer(mult, where: str) -> int:
+    try:
+        m = int(mult)
+        if m != float(mult):
+            raise ValueError
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: multiplicity must be an integer, got {mult!r}") from None
+    return m
+
+
 def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
     try:
         length = float(length)
         holonomy = float(holonomy)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric field ({exc})") from exc
-    try:
-        m = int(mult)
-        if m != float(mult):
-            raise ValueError
-    except (TypeError, ValueError):
-        raise ParseError(f"{where}: multiplicity must be an integer, got {mult!r}") from None
+    m = _integer(mult, where)
     if not (length > 0):
         raise DomainError(f"{where}: length must be positive, got {length!r}")
     if m < 1:
@@ -170,11 +182,15 @@ def _parse_csv(text: str) -> Spectrum:
     return Spectrum(records)
 
 
-def _parse_json(text: str) -> Spectrum:
+def _load_json(text: str, what: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+        raise ParseError(f"invalid JSON{what}: {exc.msg}", line=exc.lineno) from exc
+
+
+def _parse_json(text: str) -> Spectrum:
+    data = _load_json(text, "")
     if not isinstance(data, list):
         raise ParseError("JSON spectrum must be an array of objects")
     records = []
@@ -198,15 +214,7 @@ def serialize_spectrum(spec: Spectrum, format: str = "csv") -> str:
         )
         return "\n".join(rows) + "\n"
     if fmt == "json":
-        return (
-            dumps(
-                [
-                    {"length": c.length, "holonomy": c.holonomy, "multiplicity": c.multiplicity}
-                    for c in spec
-                ]
-            )
-            + "\n"
-        )
+        return dumps([c._asdict() for c in spec]) + "\n"
     raise ParseError(f"unknown spectrum format {format!r} (expected csv or json)")
 
 
@@ -231,12 +239,7 @@ def load_spectrum(path: str, format: str | None = None) -> Spectrum:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    text = _read_text(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON matrix: {exc.msg}", line=exc.lineno) from exc
-    arr = np.asarray(data, dtype=float)
+    arr = np.asarray(_load_json(_read_text(path), " matrix"), dtype=float)
     if arr.shape == (16,):
         arr = arr.reshape(4, 4)
     if arr.shape != (4, 4):
@@ -246,10 +249,7 @@ def _load_matrix(path: str) -> np.ndarray:
 
 def _load_zero_data(path: str) -> dict[str, RealMultiset]:
     """Zero-line JSON: {"m0": [...], "m1": [...]} of numbers or value/mult objects."""
-    try:
-        data = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON zero data: {exc.msg}", line=exc.lineno) from exc
+    data = _load_json(_read_text(path), " zero data")
     if not isinstance(data, dict) or "m0" not in data:
         raise ParseError('zero data must be an object with an "m0" array (optionally "m1")')
     out = {}
@@ -261,16 +261,21 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
             raise ParseError(f'"{key}" must be an array')
         pairs = []
         for i, row in enumerate(rows):
+            where = f'"{key}" entry {i}'
             if isinstance(row, dict):
-                try:
-                    pairs.append((float(row["value"]), int(row.get("multiplicity", 1))))
-                except (KeyError, TypeError, ValueError):
-                    raise ParseError(f'"{key}" entry {i}: expected value/multiplicity') from None
+                value, mult = row.get("value"), row.get("multiplicity", 1)
             else:
-                try:
-                    pairs.append((float(row), 1))
-                except (TypeError, ValueError):
-                    raise ParseError(f'"{key}" entry {i}: expected a number') from None
+                value, mult = row, 1
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"{where}: expected a number or a value object") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{where}: value must be finite, got {value!r}")
+            mult = _integer(mult, where)
+            if mult < 0:
+                raise ParseError(f"{where}: multiplicity must be nonnegative, got {mult!r}")
+            pairs.append((value, mult))
         out[key] = RealMultiset(pairs)
     return out
 
@@ -287,10 +292,6 @@ def _default_imbound(*specs: Spectrum) -> float:
 def _window(args, *specs: Spectrum) -> ZeroWindow:
     im_bound = args.imbound if args.imbound is not None else _default_imbound(*specs)
     return ZeroWindow(args.maxm, im_bound)
-
-
-def _multiset_json(ms: RealMultiset) -> list:
-    return [{"value": v, "multiplicity": m} for v, m in ms]
 
 
 def _expected_ratios(spec: Spectrum, tol: float) -> RealMultiset:
@@ -327,27 +328,12 @@ def _cmd_classify(args) -> dict:
     return {"length": a, "holonomy": b}
 
 
-def _cmd_zeta(args) -> dict:
+def _cmd_evaluate(args) -> dict:
     spec = load_spectrum(args.spectrum, args.format)
     s = parse_complex(args.s)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        value = zeta_tau(spec, args.tau, s, args.maxm)
-    return {
-        "value": value,
-        "s": s,
-        "tau": args.tau,
-        "max_m": args.maxm,
-        "convergence_warning": any("half-plane" in str(w.message) for w in caught),
-    }
-
-
-def _cmd_psi(args) -> dict:
-    spec = load_spectrum(args.spectrum, args.format)
-    s = parse_complex(args.s)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        value = log_derivative(spec, args.tau, s, args.maxm)
+        value = args.evaluate(spec, args.tau, s, args.maxm)
     return {
         "value": value,
         "s": s,
@@ -362,7 +348,7 @@ def _cmd_zeros(args) -> dict:
     w = _window(args, spec)
     zm = zero_multiset(spec, args.tau, w)
     return {
-        "window": {"max_m": w.max_m, "im_bound": w.im_bound},
+        "window": w._asdict(),
         "tau": args.tau,
         "zeros": [{"re": v.real, "im": v.imag, "multiplicity": m} for v, m in zm],
     }
@@ -373,39 +359,28 @@ def _cmd_recover(args) -> dict:
     if args.kind == "spectrum":
         spec = load_spectrum(args.input, args.format)
         w = _window(args, spec)
-        m0 = zero_line(spec, 0, w)
-        m1 = zero_line(spec, 1, w)
-        lengths = recover_lengths(m0, w, tol)
-        ratios = recover_ratios(strip_k0(m1, lengths, w), lengths, w, tol)
-        m_len = match_multisets(lengths, spec.lengths(), tol)
-        m_rat = match_multisets(ratios, _expected_ratios(spec, tol), tol)
-        ok = m_len.equal and m_rat.equal
-        residual = max(m_len.max_distance, m_rat.max_distance) if ok else float("inf")
-        report = RecoveryReport(
-            recovered_lengths=lengths,
-            recovered_ratios=ratios,
-            residual=residual,
-            status=("EXACT" if residual == 0.0 else "TOLERANT") if ok else "FAILED",
-            witness=None if ok else (m_len.witness if not m_len.equal else m_rat.witness),
-            diagnostics=("roundtrip against the invariants of the input spectrum",),
-        )
-        out = report.to_dict()
-        out["window"] = {"max_m": w.max_m, "im_bound": w.im_bound}
+        m0, m1 = zero_line(spec, 0, w), zero_line(spec, 1, w)
+    else:  # raw zero-line data
+        data = _load_zero_data(args.input)
+        if args.imbound is None:
+            raise DomainError("--imbound is required with --kind zeros (no spectrum to infer it)")
+        w = ZeroWindow(args.maxm, args.imbound)
+        m0, m1 = data["m0"], data.get("m1")
+    lengths = recover_lengths(m0, w, tol)
+    ratios = None if m1 is None else recover_ratios(strip_k0(m1, lengths, w), lengths, w, tol)
+    if args.kind == "zeros":
+        out = {"window": w._asdict(), "recovered_lengths": _multiset_json(lengths)}
+        if ratios is not None:
+            out["recovered_ratios"] = _multiset_json(ratios)
         return out
-    # kind == zeros: recover straight from supplied zero-line data
-    data = _load_zero_data(args.input)
-    if args.imbound is None:
-        raise DomainError("--imbound is required with --kind zeros (no spectrum to infer it)")
-    w = ZeroWindow(args.maxm, args.imbound)
-    lengths = recover_lengths(data["m0"], w, tol)
-    result = {
-        "window": {"max_m": w.max_m, "im_bound": w.im_bound},
-        "recovered_lengths": _multiset_json(lengths),
-    }
-    if "m1" in data:
-        ratios = recover_ratios(strip_k0(data["m1"], lengths, w), lengths, w, tol)
-        result["recovered_ratios"] = _multiset_json(ratios)
-    return result
+    matches = [
+        match_multisets(lengths, spec.lengths(), tol),
+        match_multisets(ratios, _expected_ratios(spec, tol), tol),
+    ]
+    report = RecoveryReport.from_matches(
+        lengths, ratios, matches, ("roundtrip against the invariants of the input spectrum",), False
+    )
+    return {**report.to_dict(), "window": w._asdict()}
 
 
 def _cmd_compare(args) -> dict:
@@ -413,9 +388,7 @@ def _cmd_compare(args) -> dict:
     spec2 = load_spectrum(args.spectrum2, args.format)
     w = _window(args, spec1, spec2)
     report = smo_check(spec1, spec2, args.tau, w, args.tol)
-    out = report.to_dict()
-    out["window"] = {"max_m": w.max_m, "im_bound": w.im_bound}
-    return out
+    return {**report.to_dict(), "window": w._asdict()}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -452,13 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix", help="JSON file with a 4x4 matrix (or '-' for stdin)")
     p.set_defaults(func=_cmd_classify)
 
-    p = sub.add_parser("zeta", help="truncated zeta value at a point")
-    common(p, [("spectrum", "spectrum file (csv/json)")], want_s=True)
-    p.set_defaults(func=_cmd_zeta)
-
-    p = sub.add_parser("psi", help="logarithmic derivative of the truncated zeta")
-    common(p, [("spectrum", "spectrum file (csv/json)")], want_s=True)
-    p.set_defaults(func=_cmd_psi)
+    for name, evaluate, help_text in (
+        ("zeta", zeta_tau, "truncated zeta value at a point"),
+        ("psi", log_derivative, "logarithmic derivative of the truncated zeta"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p, [("spectrum", "spectrum file (csv/json)")], want_s=True)
+        p.set_defaults(func=_cmd_evaluate, evaluate=evaluate)
 
     p = sub.add_parser("zeros", help="windowed zero multiset of a spectrum")
     common(p, [("spectrum", "spectrum file (csv/json)")], want_window=True)

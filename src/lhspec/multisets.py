@@ -11,12 +11,15 @@ sorting, which makes the canonical form independent of insertion order.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import UnderflowError
 
 #: default absolute coincidence tolerance for zero values
 TAU_ZERO = 1e-9
+
+_VALUE = itemgetter(0)  # sort key of an entry
 
 
 def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
@@ -30,10 +33,46 @@ def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, in
     return [p for p in out if p[1] != 0]
 
 
-class RealMultiset:
-    """Immutable multiset of real numbers with integer multiplicities."""
+class _Multiset:
+    """Immutable core shared by the real and complex multisets.
+
+    ``entries`` is the canonical tuple of (value, multiplicity) pairs.
+    Equality is type-exact, so a real multiset never equals a complex one.
+    """
 
     __slots__ = ("entries",)
+
+    def __setattr__(self, *a):  # pragma: no cover - immutability guard
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __iter__(self) -> Iterator[tuple]:
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def __bool__(self) -> bool:
+        return bool(self.entries)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is type(self) and self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{v!r}x{m}" for v, m in self.entries)
+        return f"{type(self).__name__}({{{inner}}})"
+
+    def total(self) -> int:
+        """Total multiplicity."""
+        return sum(m for _, m in self.entries)
+
+
+class RealMultiset(_Multiset):
+    """Immutable multiset of real numbers with integer multiplicities."""
+
+    __slots__ = ()
 
     def __init__(self, pairs: Iterable[tuple[float, int]] = (), tol: float = TAU_ZERO):
         pairs = [(float(v), int(m)) for v, m in pairs]
@@ -45,32 +84,6 @@ class RealMultiset:
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = TAU_ZERO) -> "RealMultiset":
         return cls(((v, 1) for v in values), tol)
-
-    def __setattr__(self, *a):  # pragma: no cover - immutability guard
-        raise AttributeError("RealMultiset is immutable")
-
-    def __iter__(self) -> Iterator[tuple[float, int]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RealMultiset) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v!r}x{m}" for v, m in self.entries)
-        return f"RealMultiset({{{inner}}})"
-
-    def total(self) -> int:
-        """Total multiplicity."""
-        return sum(m for _, m in self.entries)
 
     def values(self) -> list[float]:
         """Expand to a sorted list with repetition."""
@@ -92,10 +105,9 @@ class RealMultiset:
 
     def count_near(self, value: float, tol: float) -> int:
         """Total multiplicity within tol of value."""
-        vals = [v for v, _ in self.entries]
-        lo = bisect.bisect_left(vals, value - tol)
-        hi = bisect.bisect_right(vals, value + tol)
-        return sum(self.entries[i][1] for i in range(lo, hi))
+        lo = bisect.bisect_left(self.entries, value - tol, key=_VALUE)
+        hi = bisect.bisect_right(self.entries, value + tol, key=_VALUE)
+        return sum(m for _, m in self.entries[lo:hi])
 
     def contains(self, pairs: Iterable[tuple[float, int]], tol: float) -> bool:
         """Whether every (value, mult) pair can be subtracted without underflow."""
@@ -141,10 +153,10 @@ class RealMultiset:
         return RealMultiset(list(self.entries) + list(pairs), tol)
 
 
-class ComplexMultiset:
+class ComplexMultiset(_Multiset):
     """Immutable multiset of complex numbers, canonically ordered by (re, im)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __init__(self, pairs: Iterable[tuple[complex, int]] = (), tol: float = TAU_ZERO):
         items = sorted(
@@ -159,31 +171,6 @@ class ComplexMultiset:
             else:
                 out.append((v, m))
         object.__setattr__(self, "entries", tuple(p for p in out if p[1] != 0))
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("ComplexMultiset is immutable")
-
-    def __iter__(self) -> Iterator[tuple[complex, int]]:
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __bool__(self) -> bool:
-        return bool(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ComplexMultiset) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v!r}x{m}" for v, m in self.entries)
-        return f"ComplexMultiset({{{inner}}})"
-
-    def total(self) -> int:
-        return sum(m for _, m in self.entries)
 
     def restrict_im(self, im_bound: float) -> "ComplexMultiset":
         """Entries with |Im| <= im_bound."""
@@ -232,6 +219,6 @@ def match_multisets(a: RealMultiset, b: RealMultiset, tol: float) -> MatchResult
 
 def multiset_equal(a: RealMultiset, b: RealMultiset, tol: float) -> bool:
     """True iff a multiplicity-respecting bijection pairs a with b within tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not tol >= 0:  # also rejects NaN, which would make every comparison pass
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     return match_multisets(a, b, tol).equal

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     AmbiguousTrace,
+    DomainError,
     IncompleteWindow,
     NegativeMultiplicity,
     SpectralError,
@@ -49,6 +51,12 @@ TWO_PI = 2.0 * math.pi
 PI = math.pi
 
 
+def _check_tol(tol: float) -> float:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol
+
+
 def _coerce(z, tol: float) -> RealMultiset:
     return z if isinstance(z, RealMultiset) else RealMultiset.from_values(z, tol)
 
@@ -63,7 +71,7 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
     checks: removed == mu * trace size away from the window edge).
     """
     w = _check_window(w)
-    cur = _coerce(z, tol)
+    cur = _coerce(z, _check_tol(tol))
     band = tol * max(1.0, w.im_bound)
     out: list[tuple[float, int]] = []
     for _ in range(cur.total() + 1):
@@ -113,9 +121,23 @@ class _SearchCtx:
     w: ZeroWindow
     tol: float
     band: float
-    solutions: list = field(default_factory=list)  # (ratio pairs, audit) per completion
+    distinct: list = field(default_factory=list)  # (ratios, audit) per distinct completion
     window_short: bool = False  # some candidate was rejected for window reasons
     stuck_at: float | None = None  # smallest value no candidate explained
+
+
+class _Candidate(NamedTuple):
+    """One class copy that explains the minimal value c."""
+
+    kind: str  # "ratio", or "zero" for the doubled k = 0 trace of a zero-holonomy class
+    idx: int  # index into the available lengths
+    a: float
+    b: float
+    ks: tuple
+    reps: int  # trace copies one class copy leaves in the residual
+    per: int  # points at c one class copy removes: 2 when b = 0 or b = pi
+    trace: list
+    nxt: RealMultiset  # the residual with one class copy removed
 
 
 def _probe_points(trace: list[float], im_bound: float, band: float) -> list[float]:
@@ -129,7 +151,9 @@ def _probe_points(trace: list[float], im_bound: float, band: float) -> list[floa
     return sorted(picks)
 
 
-def _candidates(cur: RealMultiset, avail: list[list], c: float, ctx: _SearchCtx) -> list[tuple]:
+def _candidates(
+    cur: RealMultiset, avail: list[list], c: float, mult: int, ctx: _SearchCtx
+) -> list[_Candidate]:
     """Attributions of minimal value c that survive a one-copy subtraction.
 
     Regular candidate: a known length a with canonical holonomy b = c*a in
@@ -137,6 +161,20 @@ def _candidates(cur: RealMultiset, avail: list[list], c: float, ctx: _SearchCtx)
     the doubled k = 0 trace left behind by a zero-holonomy class.
     """
     found = []
+
+    def probe(kind, idx, a, b, ks, reps):
+        trace = class_trace(a, b, ks, ctx.w)
+        probes = _probe_points(trace, ctx.w.im_bound, ctx.band)
+        if any(cur.count_near(v, ctx.tol) < reps for v in probes):
+            return
+        try:
+            nxt = subtract_trace(cur, a, b, ks, reps, ctx.w, ctx.tol)
+        except UnderflowError:
+            return
+        per = mult - nxt.count_near(c, 0.0)
+        if per > 0:
+            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace, nxt))
+
     for idx, (a, rem) in enumerate(avail):
         if rem <= 0:
             continue
@@ -147,111 +185,82 @@ def _candidates(cur: RealMultiset, avail: list[list], c: float, ctx: _SearchCtx)
             if (TWO_PI - b_sub) / a > ctx.w.im_bound + ctx.band:
                 ctx.window_short = True
                 continue
-            trace = class_trace(a, b_sub, (1, -1), ctx.w)
-            if all(cur.count_near(v, ctx.tol) >= 1 for v in _probe_points(trace, ctx.w.im_bound, ctx.band)):
-                try:
-                    nxt = subtract_trace(cur, a, b_sub, (1, -1), 1, ctx.w, ctx.tol)
-                except UnderflowError:
-                    pass
-                else:
-                    found.append(("ratio", idx, a, b_sub, (1, -1), trace, nxt))
+            probe("ratio", idx, a, b_sub, (1, -1), 1)
         if abs(b1 - TWO_PI) <= slack:
-            trace = class_trace(a, 0.0, (0,), ctx.w)
-            if all(cur.count_near(v, ctx.tol) >= 2 for v in _probe_points(trace, ctx.w.im_bound, ctx.band)):
-                try:
-                    nxt = subtract_trace(cur, a, 0.0, (0,), 2, ctx.w, ctx.tol)
-                except UnderflowError:
-                    pass
-                else:
-                    found.append(("zero", idx, a, 0.0, (0,), trace, nxt))
+            probe("zero", idx, a, 0.0, (0,), 2)
     return found
 
 
-def _distinct_solutions(ctx: _SearchCtx) -> list:
-    distinct = []
-    for pairs, aud in ctx.solutions:
-        ms = RealMultiset(pairs, ctx.tol)
-        if not any(multiset_equal(ms, seen, ctx.tol) for seen, _ in distinct):
-            distinct.append((ms, aud))
-    return distinct
+def _attribute(cur, avail, ratios, audit, c: float, cd: _Candidate, units: int, ctx: _SearchCtx):
+    """Charge ``units`` class copies of ``cd`` with points at c; UnderflowError if absent.
+
+    A ratio carries the class multiplicity; zero holonomy keeps the doubled count.
+    """
+    copies = units * cd.reps
+    if units == 1:
+        nxt = cd.nxt
+    else:
+        nxt = subtract_trace(cur, cd.a, cd.b, cd.ks, copies, ctx.w, ctx.tol)
+    avail = [list(p) for p in avail]
+    avail[cd.idx][1] -= units
+    emitted = units if cd.kind == "ratio" else copies
+    ratios = ratios + (((c if cd.kind == "ratio" else 0.0), emitted),)
+    audit = audit + (
+        {
+            "smallest": c,
+            "kind": cd.kind,
+            "length": cd.a,
+            "holonomy": cd.b,
+            "multiplicity": emitted,
+            "trace_points": len(cd.trace),
+            "removed": cur.total() - nxt.total(),
+        },
+    )
+    return nxt, avail, ratios, audit
 
 
 def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
-    """DFS over attributions; appends completed peelings to ctx.solutions.
+    """DFS over attributions; records distinct completed peelings in ctx.distinct.
 
     ``last`` = (value, candidate index) canonicalizes how equal copies of the
     same minimal value split across candidates (nondecreasing index order),
     so permutations of the same split are explored once.
     """
-    while True:
-        if len(_distinct_solutions(ctx)) >= 2:
-            return
+    while len(ctx.distinct) < 2:
         mp = cur.min_positive()
         if mp is None:
             if cur.total() == 0:
-                ctx.solutions.append((ratios, audit))
+                ms = RealMultiset(ratios, ctx.tol)
+                if not any(multiset_equal(ms, seen, ctx.tol) for seen, _ in ctx.distinct):
+                    ctx.distinct.append((ms, audit))
             return
         c, mult = mp
-        cands = _candidates(cur, avail, c, ctx)
+        cands = _candidates(cur, avail, c, mult, ctx)
         if last is not None and abs(last[0] - c) <= ctx.tol:
-            cands = [cd for cd in cands if cd[1] >= last[1]]
+            cands = [cd for cd in cands if cd.idx >= last[1]]
         if not cands:
             if ctx.stuck_at is None:
                 ctx.stuck_at = c
             return
         if len(cands) == 1:
             # forced: attribute the whole multiplicity at c in one batch
-            kind, idx, a, b_sub, ks, trace, _ = cands[0]
-            units = mult if kind == "ratio" else mult // 2
-            copies = units if kind == "ratio" else 2 * units
-            if kind == "zero" and mult % 2:
-                ctx.stuck_at = c if ctx.stuck_at is None else ctx.stuck_at
-                return
-            if avail[idx][1] < units:
-                ctx.stuck_at = c if ctx.stuck_at is None else ctx.stuck_at
-                return
-            before = cur.total()
+            cd = cands[0]
+            units, short = divmod(mult, cd.per)
             try:
-                cur = subtract_trace(cur, a, b_sub, ks, copies, ctx.w, ctx.tol)
+                if short or avail[cd.idx][1] < units:
+                    raise UnderflowError(f"cannot charge {mult} points at {c!r}")
+                cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, c, cd, units, ctx)
             except UnderflowError:
-                ctx.stuck_at = c if ctx.stuck_at is None else ctx.stuck_at
+                if ctx.stuck_at is None:
+                    ctx.stuck_at = c
                 return
-            avail = [list(p) for p in avail]
-            avail[idx][1] -= units
-            emitted = mult  # ratio value c: mult copies; zero report keeps leftover count
-            ratios = ratios + (((c if kind == "ratio" else 0.0), emitted),)
-            audit = audit + (
-                {
-                    "smallest": c,
-                    "kind": kind,
-                    "length": a,
-                    "holonomy": b_sub,
-                    "multiplicity": emitted,
-                    "trace_points": len(trace),
-                    "removed": before - cur.total(),
-                },
-            )
             last = None
             continue
         # tie: several attributions survive locally; branch one unit at a time
-        for kind, idx, a, b_sub, ks, trace, nxt in cands:
-            n_avail = [list(p) for p in avail]
-            n_avail[idx][1] -= 1
-            emitted = 1 if kind == "ratio" else 2
-            n_ratios = ratios + (((c if kind == "ratio" else 0.0), emitted),)
-            n_audit = audit + (
-                {
-                    "smallest": c,
-                    "kind": kind,
-                    "length": a,
-                    "holonomy": b_sub,
-                    "multiplicity": emitted,
-                    "trace_points": len(trace),
-                    "removed": cur.total() - nxt.total(),
-                },
-            )
-            _peel_ratios(nxt, n_avail, n_ratios, n_audit, ctx, last=(c, idx))
-            if len(_distinct_solutions(ctx)) >= 2:
+        for cd in cands:
+            branch = _attribute(cur, avail, ratios, audit, c, cd, 1, ctx)
+            _peel_ratios(*branch, ctx, last=(c, cd.idx))
+            if len(ctx.distinct) >= 2:
                 return
         return
 
@@ -277,12 +286,12 @@ def recover_ratios(
     leftover multiplicity (twice the class multiplicity).
     """
     w = _check_window(w)
-    cur = _coerce(z_pm, tol)
+    cur = _coerce(z_pm, _check_tol(tol))
     lengths = _coerce(lengths, tol)
     ctx = _SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound))
     avail = [[a, m] for a, m in lengths]
     _peel_ratios(cur, avail, (), (), ctx)
-    distinct = _distinct_solutions(ctx)
+    distinct = ctx.distinct
     if not distinct:
         if ctx.window_short:
             raise IncompleteWindow(
@@ -308,6 +317,11 @@ def recover_ratios(
 # end-to-end comparison
 
 
+def _multiset_json(ms: RealMultiset) -> list:
+    """The (value, multiplicity) entries as a list of JSON objects."""
+    return [{"value": v, "multiplicity": m} for v, m in ms]
+
+
 @dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of comparing two spectra through their windowed zero data."""
@@ -319,17 +333,30 @@ class RecoveryReport:
     witness: float | None = None
     diagnostics: tuple[str, ...] = ()
 
+    @classmethod
+    def from_matches(cls, lengths, ratios, matches, diagnostics, failed: bool) -> "RecoveryReport":
+        """Report by the one status rule.
+
+        FAILED on any mismatch or error (``failed``), with the first
+        mismatch's witness; otherwise the residual is the largest match
+        distance, EXACT when it is 0 and TOLERANT when not.
+        """
+        bad = [m for m in matches if not m.equal]
+        if failed or bad:
+            residual, status = math.inf, "FAILED"
+        else:
+            residual = max((m.max_distance for m in matches), default=0.0)
+            status = "EXACT" if residual == 0.0 else "TOLERANT"
+        witness = bad[0].witness if bad else None
+        return cls(lengths, ratios, residual, status, witness, tuple(diagnostics))
+
     def to_dict(self) -> dict:
         return {
             "status": self.status,
             "residual": self.residual,
             "witness": self.witness,
-            "recovered_lengths": [
-                {"value": v, "multiplicity": m} for v, m in self.recovered_lengths
-            ],
-            "recovered_ratios": [
-                {"value": v, "multiplicity": m} for v, m in self.recovered_ratios
-            ],
+            "recovered_lengths": _multiset_json(self.recovered_lengths),
+            "recovered_ratios": _multiset_json(self.recovered_ratios),
             "diagnostics": list(self.diagnostics),
         }
 
@@ -347,6 +374,7 @@ def smo_check(
     recovery errors) is FAILED with diagnostics.
     """
     w = _check_window(w)
+    _check_tol(tol)
     s1, s2 = spectrum_difference(spec1, spec2)
     diagnostics: list[str] = []
     if s1 or s2:
@@ -354,51 +382,24 @@ def smo_check(
             f"symmetric difference: {s1.total()} vs {s2.total()} class copies uncancelled"
         )
     matches: list[MatchResult] = []
-    witness: float | None = None
+
+    def stage(a: RealMultiset, b: RealMultiset, what: str) -> None:
+        m = match_multisets(a, b, tol)
+        matches.append(m)
+        if not m.equal:
+            diagnostics.append(f"{what} {m.witness!r}")
+
+    stage(zero_line(s1, tau, w), zero_line(s2, tau, w), "zero lines differ; witness imaginary part")
+    lengths1 = ratios1 = RealMultiset()
     failed = False
-
-    m_line = match_multisets(zero_line(s1, tau, w), zero_line(s2, tau, w), tol)
-    matches.append(m_line)
-    if not m_line.equal:
-        failed = True
-        witness = m_line.witness
-        diagnostics.append(f"zero lines differ; witness imaginary part {m_line.witness!r}")
-
-    lengths1 = lengths2 = ratios1 = ratios2 = RealMultiset()
     try:
         lengths1 = recover_lengths(zero_line(s1, 0, w), w, tol)
         lengths2 = recover_lengths(zero_line(s2, 0, w), w, tol)
-        m_len = match_multisets(lengths1, lengths2, tol)
-        matches.append(m_len)
-        if not m_len.equal:
-            failed = True
-            witness = m_len.witness if witness is None else witness
-            diagnostics.append(f"recovered lengths differ; witness {m_len.witness!r}")
+        stage(lengths1, lengths2, "recovered lengths differ; witness")
         ratios1 = recover_ratios(strip_k0(zero_line(s1, 1, w), lengths1, w), lengths1, w, tol)
         ratios2 = recover_ratios(strip_k0(zero_line(s2, 1, w), lengths2, w), lengths2, w, tol)
-        m_rat = match_multisets(ratios1, ratios2, tol)
-        matches.append(m_rat)
-        if not m_rat.equal:
-            failed = True
-            witness = m_rat.witness if witness is None else witness
-            diagnostics.append(f"recovered ratios differ; witness {m_rat.witness!r}")
+        stage(ratios1, ratios2, "recovered ratios differ; witness")
     except SpectralError as exc:
         failed = True
         diagnostics.append(f"{type(exc).__name__}: {exc}")
-
-    finite = [m.max_distance for m in matches if m.equal]
-    residual = max(finite, default=0.0) if not failed else float("inf")
-    if failed:
-        status = "FAILED"
-    elif residual == 0.0:
-        status = "EXACT"
-    else:
-        status = "TOLERANT"
-    return RecoveryReport(
-        recovered_lengths=lengths1,
-        recovered_ratios=ratios1,
-        residual=residual,
-        status=status,
-        witness=witness,
-        diagnostics=tuple(diagnostics),
-    )
+    return RecoveryReport.from_matches(lengths1, ratios1, matches, diagnostics, failed)

@@ -14,12 +14,12 @@ windowed multiset is complete for its window by construction.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, UnderflowError
 from .geodesic import Spectrum
 from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset
-from .zeta import TauIndex, _tau_m
+from .zeta import _index
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,8 +35,8 @@ def _check_window(w) -> ZeroWindow:
     w = ZeroWindow(*w)
     if int(w.max_m) != w.max_m or w.max_m < 0:
         raise DomainError(f"window max_m must be a nonnegative integer, got {w.max_m!r}")
-    if not (w.im_bound > 0):
-        raise DomainError(f"window im_bound must be positive, got {w.im_bound!r}")
+    if not (0 < w.im_bound < math.inf):
+        raise DomainError(f"window im_bound must be positive and finite, got {w.im_bound!r}")
     return ZeroWindow(int(w.max_m), float(w.im_bound))
 
 
@@ -66,7 +66,7 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     in-window integers n; coincident values merge with exact multiplicities.
     """
     w = _check_window(w)
-    tau_m = _tau_m(tau)
+    tau_m = _index(tau, "twist index")
     pairs: list[tuple[complex, int]] = []
     for cls in diff:
         a, b, mult = float(cls[0]), float(cls[1]), int(cls[2])
@@ -89,12 +89,12 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     m = 0 the slice degenerates to the pure length data {2*n*pi/a}.
     """
     w = _check_window(w)
-    tau_m = _tau_m(tau)
+    tau_m = _index(tau, "twist index")
+    ks = range(-tau_m, tau_m + 1)
     pairs: list[tuple[float, int]] = []
     for cls in diff:
         a, b, mult = float(cls[0]), float(cls[1]), int(cls[2])
-        for k in range(-tau_m, tau_m + 1):
-            pairs.extend((v, mult) for v in class_trace(a, b, (k,), w))
+        pairs.extend((v, mult) for v in class_trace(a, b, ks, w))
     return RealMultiset(pairs, tol=TAU_ZERO)
 
 

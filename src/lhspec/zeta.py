@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,17 +46,11 @@ class Truncation(NamedTuple):
     max_m: int
 
 
-def _tau_m(tau) -> int:
-    m = int(tau.m if isinstance(tau, TauIndex) else tau)
+def _index(x, what: str) -> int:
+    # a TauIndex or Truncation, or a bare integer
+    m = int(x[0] if isinstance(x, (TauIndex, Truncation)) else x)
     if m < 0:
-        raise DomainError(f"twist index must be nonnegative, got {tau!r}")
-    return m
-
-
-def _max_m(tr) -> int:
-    m = int(tr.max_m if isinstance(tr, Truncation) else tr)
-    if m < 0:
-        raise DomainError(f"truncation order must be nonnegative, got {tr!r}")
+        raise DomainError(f"{what} must be nonnegative, got {x!r}")
     return m
 
 
@@ -109,7 +103,24 @@ def _factor_grid(k: int, cls, s: complex, max_m: int) -> np.ndarray:
     )
 
 
-def _iter_grids(spec: Spectrum, tau_m: int, s: complex, max_m: int) -> Iterator[tuple]:
+def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
+    if s.real <= 2.0 * rho0():
+        warnings.warn(
+            f"Re(s)={s.real!r} is outside the convergence half-plane Re(s) > 2; "
+            "truncated value returned",
+            ConvergenceWarning,
+            stacklevel=stacklevel,
+        )
+
+
+def _grid_sum(spec: Spectrum, tau, s: complex, tr, term) -> complex:
+    # compensated sum of term(cls, grid) -> (real parts, imaginary parts)
+    # over every (class, k) factor grid; called from the public entry points
+    s = complex(s)
+    tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
+    _warn_halfplane(s, stacklevel=4)
+    re_terms: list[float] = []
+    im_terms: list[float] = []
     for cls in spec:
         for k in range(-tau_m, tau_m + 1):
             grid = _factor_grid(k, cls, s, max_m)
@@ -120,17 +131,22 @@ def _iter_grids(spec: Spectrum, tau_m: int, s: complex, max_m: int) -> Iterator[
                     f"local factor vanishes at s={s!r} for k={k}, "
                     f"(m1, m2)=({m1}, {m2}), class (a={cls[0]!r}, b={cls[1]!r})"
                 )
-            yield cls, grid
+            re, im = term(cls, grid)
+            re_terms.extend(re.tolist())
+            im_terms.extend(im.tolist())
+    return complex(math.fsum(re_terms), math.fsum(im_terms))
 
 
-def _warn_halfplane(s: complex) -> None:
-    if s.real <= 2.0 * rho0():
-        warnings.warn(
-            f"Re(s)={s.real!r} is outside the convergence half-plane Re(s) > 2; "
-            "truncated value returned",
-            ConvergenceWarning,
-            stacklevel=3,
-        )
+def _log_term(cls, grid: np.ndarray) -> tuple:
+    logs = np.log(grid).ravel()
+    mult = int(cls[2])
+    return mult * logs.real, mult * logs.imag
+
+
+def _log_derivative_term(cls, grid: np.ndarray) -> tuple:
+    a, mult = float(cls[0]), int(cls[2])
+    terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
+    return terms.real, terms.imag
 
 
 def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
@@ -139,18 +155,7 @@ def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     Evaluated as exp of the compensated sum of multiplicity-weighted
     log-factors.  Raises FactorZero if s is a zero of some local factor.
     """
-    s = complex(s)
-    tau_m, max_m = _tau_m(tau), _max_m(tr)
-    _warn_halfplane(s)
-    re_logs: list[float] = []
-    im_logs: list[float] = []
-    for cls, grid in _iter_grids(spec, tau_m, s, max_m):
-        logs = np.log(grid).ravel()
-        mult = int(cls[2])
-        re_logs.extend((mult * logs.real).tolist())
-        im_logs.extend((mult * logs.imag).tolist())
-    total = complex(math.fsum(re_logs), math.fsum(im_logs))
-    return complex(np.exp(total))
+    return complex(np.exp(_grid_sum(spec, tau, s, tr, _log_term)))
 
 
 def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
@@ -159,17 +164,7 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     Every local factor 1 - exp(-X) contributes a(p)*(1/f - 1) with f the
     factor value, since exp(-X) = 1 - f and dX/ds = a(p).
     """
-    s = complex(s)
-    tau_m, max_m = _tau_m(tau), _max_m(tr)
-    _warn_halfplane(s)
-    re_terms: list[float] = []
-    im_terms: list[float] = []
-    for cls, grid in _iter_grids(spec, tau_m, s, max_m):
-        a, mult = float(cls[0]), int(cls[2])
-        terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
-        re_terms.extend(terms.real.tolist())
-        im_terms.extend(terms.imag.tolist())
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
+    return _grid_sum(spec, tau, s, tr, _log_derivative_term)
 
 
 def zeta_ratio(spec1: Spectrum, spec2: Spectrum, tau, s: complex, tr) -> complex:
@@ -181,7 +176,7 @@ def zeta_ratio(spec1: Spectrum, spec2: Spectrum, tau, s: complex, tr) -> complex
     DivisionByZero; a vanishing numerator factor propagates as FactorZero.
     """
     s = complex(s)
-    tau_m, max_m = _tau_m(tau), _max_m(tr)
+    tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
     s1, s2 = spectrum_difference(spec1, spec2)
     _warn_halfplane(s)
     with warnings.catch_warnings():

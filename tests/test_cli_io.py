@@ -101,6 +101,49 @@ def test_compare_detects_mismatch(tmp_path, capsys):
     assert out["witness"] is not None
 
 
+ZEROS_SMALL = str(DATA / "zeros_small.json")
+SMALL_CSV, SMALL_JSON = str(DATA / "small.csv"), str(DATA / "small.json")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["recover", SMALL_JSON, "--tol", "nan"],
+        ["recover", SMALL_JSON, "--tol", "-1"],
+        ["recover", ZEROS_SMALL, "--kind", "zeros", "--imbound", "10", "--tol", "nan"],
+        ["compare", SMALL_CSV, SMALL_JSON, "--tol", "nan"],
+        ["compare", SMALL_CSV, SMALL_JSON, "--tol", "-1"],
+        ["zeros", SMALL_CSV, "--imbound", "inf"],
+        ["recover", SMALL_JSON, "--imbound", "inf"],
+        ["recover", ZEROS_SMALL, "--kind", "zeros", "--imbound", "inf"],
+        ["compare", SMALL_CSV, SMALL_JSON, "--imbound", "inf"],
+    ],
+    ids=[
+        "recover_tol_nan",
+        "recover_tol_negative",
+        "recover_zeros_tol_nan",
+        "compare_tol_nan",
+        "compare_tol_negative",
+        "zeros_imbound_inf",
+        "recover_imbound_inf",
+        "recover_zeros_imbound_inf",
+        "compare_imbound_inf",
+    ],
+)
+def test_cli_rejects_non_finite_parameters(argv, capsys):
+    assert run_cli(argv) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+
+
+def test_recover_self_inverse_holonomy(tmp_path, capsys):
+    path = tmp_path / "pi.csv"
+    path.write_text("length,holonomy,multiplicity\n3.0,3.141592653589793,1\n")
+    assert run_cli(["recover", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] == "EXACT"
+    assert out["recovered_ratios"] == [{"value": math.pi / 3.0, "multiplicity": 1}]
+
+
 def test_recover_zeros_requires_imbound(capsys):
     code = run_cli(["recover", str(DATA / "zeros_small.json"), "--kind", "zeros"])
     assert code == 1
@@ -261,6 +304,8 @@ def test_parse_json_errors():
         parse_spectrum('[{"length": 1, "multiplicity": 1}]', "json")
     with pytest.raises(ParseError, match="unknown spectrum format"):
         parse_spectrum("", "yaml")
+    with pytest.raises(ParseError, match="multiplicity must be an integer"):
+        parse_spectrum('[{"length": 1, "holonomy": 0, "multiplicity": Infinity}]', "json")
 
 
 def test_holonomy_reduced_mod_two_pi():
@@ -323,7 +368,18 @@ def test_zero_data_accepts_plain_numbers(tmp_path, capsys):
 
 def test_zero_data_validation(tmp_path, capsys):
     path = tmp_path / "z.json"
-    for body in ('{"m1": [1]}', "[1,2]", '{"m0": 3}', '{"m0": ["x"]}', '{"m0": [{"mult": 2}]}'):
+    for body in (
+        '{"m1": [1]}',
+        "[1,2]",
+        '{"m0": 3}',
+        '{"m0": ["x"]}',
+        '{"m0": [{"mult": 2}]}',
+        '{"m0": [{"value": 1, "multiplicity": -1}]}',
+        '{"m0": [{"value": 1, "multiplicity": 1.5}]}',
+        '{"m0": [{"value": 1, "multiplicity": Infinity}]}',
+        '{"m0": [NaN]}',
+        '{"m0": [0], "m1": [{"value": -Infinity}]}',
+    ):
         path.write_text(body)
         assert run_cli(["recover", str(path), "--kind", "zeros", "--imbound", "5"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"

@@ -25,6 +25,12 @@ def test_clustering_snaps_to_smallest_member():
     assert ms.entries == ((1.0, 3),)
 
 
+def test_real_and_complex_multisets_never_equal():
+    assert RealMultiset() != ComplexMultiset()
+    assert RealMultiset([(1.0, 1)]) != ComplexMultiset([(1.0, 1)])
+    assert repr(ComplexMultiset([(1j, 2)])) == "ComplexMultiset({1jx2})"
+
+
 def test_zero_multiplicity_entries_dropped():
     assert RealMultiset([(1.0, 0), (2.0, 1)]).entries == ((2.0, 1),)
 
@@ -131,8 +137,9 @@ def test_match_witness_is_worst_pair():
 
 
 def test_negative_tolerance_rejected():
-    with pytest.raises(ValueError):
-        multiset_equal(RealMultiset(), RealMultiset(), -1.0)
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            multiset_equal(RealMultiset([(1.0, 1)]), RealMultiset([(5.0, 1)]), tol)
 
 
 @given(st.lists(finite, max_size=12))

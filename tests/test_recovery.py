@@ -6,6 +6,7 @@ import pytest
 
 from lhspec import (
     AmbiguousTrace,
+    DomainError,
     IncompleteWindow,
     NegativeMultiplicity,
     RealMultiset,
@@ -165,6 +166,20 @@ def test_recover_ratios_zero_holonomy_reported_as_ratio_zero():
     assert multiset_equal(got, RealMultiset([(0.0, 2), (1.3, 1)]), 1e-9)
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [[(3.0, PI, 1)], [(3.0, PI, 2)], [(3.0, PI, 1), (1.0, 0.5, 1)]],
+    ids=["one", "doubled", "with_generic"],
+)
+def test_recover_ratios_self_inverse_holonomy(rows):
+    # b = pi: the k = +1 and k = -1 traces coincide, so each class copy puts
+    # two points at pi/a; the ratio still carries the class multiplicity
+    spec = Spectrum(rows)
+    got = roundtrip_ratios(spec)
+    assert multiset_equal(got, RealMultiset(expected_ratio_pairs(spec)), 1e-9)
+    assert smo_check(spec, spec, 1, window_for(spec)).status == "EXACT"
+
+
 def test_recover_ratios_ambiguous_data_refuses_to_guess():
     # adversarial: the data is one (a=2, b=2) trace, but the length table
     # also offers two copies of length 1, which can tile the same points
@@ -253,3 +268,40 @@ def test_smo_check_report_serializes():
     assert d["status"] == "EXACT"
     assert d["recovered_lengths"] == [] and d["recovered_ratios"] == []
     assert d["witness"] is None
+
+
+def test_smo_check_failing_report_pinned():
+    # side 1 peels its lengths, side 2 runs out of window: the report keeps
+    # side 1's lengths and lists the diagnostics in stage order
+    s1 = Spectrum([(3.0, 0.5, 1), (4.0, 1.0, 2)])
+    s2 = Spectrum([(1.0, 0.0, 1), (2.0, 0.5, 2), (3.0, 0.0, 1)])
+    rep = smo_check(s1, s2, 1, ZeroWindow(0, 7.0))
+    assert rep.to_dict() == {
+        "status": "FAILED",
+        "residual": math.inf,
+        "witness": -6.449851973846253,
+        "recovered_lengths": [
+            {"value": 3.0, "multiplicity": 1},
+            {"value": 4.0, "multiplicity": 2},
+        ],
+        "recovered_ratios": [],
+        "diagnostics": [
+            "symmetric difference: 3 vs 4 class copies uncancelled",
+            "zero lines differ; witness imaginary part -6.449851973846253",
+            "IncompleteWindow: window |Im(s)| <= 7.0 cannot contain the first two "
+            "trace points of recovered length 1.0",
+        ],
+    }
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_recovery_rejects_bad_tolerance(tol):
+    spec = Spectrum([(2.0, 1.0, 1)])
+    w = window_for(spec)
+    lengths = spec.lengths()
+    with pytest.raises(DomainError, match="tolerance"):
+        recover_lengths(zero_line(spec, 0, w), w, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        recover_ratios(strip_k0(zero_line(spec, 1, w), lengths, w), lengths, w, tol)
+    with pytest.raises(DomainError, match="tolerance"):
+        smo_check(spec, spec, 1, w, tol)

@@ -196,6 +196,17 @@ def test_convergence_warning_outside_halfplane():
         zeta_tau(spec, 0, 2.0 + 1e-12 + 0.0j, 2)  # inside: no warning
 
 
+def test_convergence_warning_points_at_caller():
+    spec = Spectrum([(1.0, 0.5, 1)])
+    for evaluate in (zeta_tau, log_derivative):
+        with pytest.warns(ConvergenceWarning) as rec:
+            evaluate(spec, 0, 1.5 + 0.0j, 2)
+        assert [r.filename for r in rec] == [__file__]
+    with pytest.warns(ConvergenceWarning) as rec:
+        zeta_ratio(spec, Spectrum(), 0, 1.5 + 0.0j, 2)
+    assert [r.filename for r in rec] == [__file__]
+
+
 def test_log_derivative_empty_and_single():
     assert log_derivative(Spectrum(), 0, 3.0, 5) == 0.0
     got = log_derivative(Spectrum([(1.0, 0.0, 1)]), 0, 3.0, 0)
