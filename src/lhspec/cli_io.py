@@ -239,7 +239,11 @@ def load_spectrum(path: str, format: str | None = None) -> Spectrum:
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    arr = np.asarray(_load_json(_read_text(path), " matrix"), dtype=float)
+    data = _load_json(_read_text(path), " matrix")
+    try:
+        arr = np.asarray(data, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"matrix must be a numeric array: {exc}") from exc
     if arr.shape == (16,):
         arr = arr.reshape(4, 4)
     if arr.shape != (4, 4):
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spectrum_args=(), want_s=False, want_window=False):
+    def common(p, spectrum_args=(), want_s=False, want_window=False, want_tol=False):
         for name, help_text in spectrum_args:
             p.add_argument(name, help=help_text)
         if want_s:
@@ -413,7 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=None,
                 help="zero window |Im(s)| bound (default 20*pi / min input length)",
             )
-        p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")
+        if want_tol:
+            p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")
         p.add_argument("--format", choices=("csv", "json"), default=None, help="spectrum format")
 
     p = sub.add_parser("decompose", help="Cartan and Iwasawa parts of an so(3,1) matrix")
@@ -438,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("recover", help="peel lengths and ratios back out of zero data")
-    common(p, [("input", "spectrum file or zero-line JSON file")], want_window=True)
+    common(p, [("input", "spectrum file or zero-line JSON file")], want_window=True, want_tol=True)
     p.add_argument(
         "--kind",
         choices=("spectrum", "zeros"),
@@ -452,6 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         p,
         [("spectrum1", "first spectrum file"), ("spectrum2", "second spectrum file")],
         want_window=True,
+        want_tol=True,
     )
     p.set_defaults(func=_cmd_compare)
 

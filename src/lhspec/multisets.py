@@ -6,20 +6,27 @@ classes can contribute the *same* value (commensurable lengths), so exact
 integer multiplicities must survive merging.  Entries closer than ``tol``
 are clustered; the representative of a cluster is its smallest member after
 sorting, which makes the canonical form independent of insertion order.
+
+A real multiset is stored as two sorted numpy arrays, distinct values and
+their positive int64 counts; its total multiplicity stays below 2**63 so
+that no count sum can wrap.
 """
 
 from __future__ import annotations
 
 import bisect
-from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import UnderflowError
+import numpy as np
+
+from .errors import DomainError, UnderflowError
 
 #: default absolute coincidence tolerance for zero values
 TAU_ZERO = 1e-9
 
-_VALUE = itemgetter(0)  # sort key of an entry
+#: total multiplicities must stay below this (counts are int64)
+COUNT_LIMIT = 2**63
+_TOO_MANY = "total multiplicity reaches 2**63 (counts are int64)"
 
 
 def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
@@ -33,6 +40,40 @@ def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, in
     return [p for p in out if p[1] != 0]
 
 
+def _count_array(counts) -> np.ndarray:
+    """Integer multiplicities as int64; DomainError for one that reaches 2**63."""
+    try:
+        return np.asarray(counts, dtype=np.int64)
+    except OverflowError:
+        raise DomainError(_TOO_MANY) from None
+
+
+def _canonical(values: np.ndarray, counts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sort float64 values with nonnegative int64 counts and cluster them within tol."""
+    if not tol >= 0:
+        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+    # the int64 sum cannot wrap while max * size stays below the limit
+    if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
+        if sum(counts.tolist()) >= COUNT_LIMIT:
+            raise DomainError(_TOO_MANY)
+    order = np.lexsort((counts, values))  # the order of sorted((v, m) pairs)
+    values, counts = values[order], counts[order]
+    near = np.abs(np.diff(values)) <= tol
+    if near.any():
+        heads = np.flatnonzero(np.concatenate(([True], ~near)))
+        lasts = np.append(heads[1:], values.size) - 1
+        if np.all(values[lasts] - values[heads] <= tol):
+            # every run of near neighbours lies within tol of its head
+            values, counts = values[heads], np.add.reduceat(counts, heads)
+        else:
+            # a run longer than tol: the cluster heads depend on the walk
+            merged = _cluster(list(zip(values.tolist(), counts.tolist())), tol)
+            values = np.array([v for v, _ in merged], dtype=np.float64)
+            counts = np.array([m for _, m in merged], dtype=np.int64)
+    keep = counts != 0
+    return values[keep], counts[keep]
+
+
 class _Multiset:
     """Immutable core shared by the real and complex multisets.
 
@@ -40,7 +81,7 @@ class _Multiset:
     Equality is type-exact, so a real multiset never equals a complex one.
     """
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -70,44 +111,79 @@ class _Multiset:
 
 
 class RealMultiset(_Multiset):
-    """Immutable multiset of real numbers with integer multiplicities."""
+    """Immutable multiset of real numbers with integer multiplicities.
 
-    __slots__ = ()
+    Raises ValueError on a negative multiplicity or tolerance, and
+    DomainError when the total multiplicity reaches 2**63.
+    """
+
+    __slots__ = ("_values", "_counts")
 
     def __init__(self, pairs: Iterable[tuple[float, int]] = (), tol: float = TAU_ZERO):
         pairs = [(float(v), int(m)) for v, m in pairs]
         for v, m in pairs:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for value {v}")
-        object.__setattr__(self, "entries", tuple(_cluster(pairs, tol)))
+        values, counts = zip(*pairs) if pairs else ((), ())
+        self._set(*_canonical(np.array(values, dtype=np.float64), _count_array(counts), tol))
+
+    def _set(self, values: np.ndarray, counts: np.ndarray) -> None:
+        values.flags.writeable = counts.flags.writeable = False
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_counts", counts)
+
+    @classmethod
+    def _from_arrays(cls, values: np.ndarray, counts: np.ndarray, tol: float) -> "RealMultiset":
+        """Canonical multiset of float64 values with nonnegative int64 counts."""
+        return cls._trusted(*_canonical(values, counts, tol))
+
+    @classmethod
+    def _trusted(cls, values: np.ndarray, counts: np.ndarray) -> "RealMultiset":
+        """Wrap arrays that are already canonical (sorted, distinct, positive)."""
+        out = object.__new__(cls)
+        out._set(values, counts)
+        return out
 
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = TAU_ZERO) -> "RealMultiset":
-        return cls(((v, 1) for v in values), tol)
+        vals = np.fromiter(values, dtype=np.float64)
+        return cls._from_arrays(vals, np.ones(vals.size, dtype=np.int64), tol)
+
+    @property
+    def entries(self) -> tuple[tuple[float, int], ...]:
+        return tuple(zip(self._values.tolist(), self._counts.tolist()))
+
+    def __len__(self) -> int:
+        return self._values.size
+
+    def __bool__(self) -> bool:
+        return self._values.size > 0
+
+    def total(self) -> int:
+        """Total multiplicity."""
+        return int(self._counts.sum())
 
     def values(self) -> list[float]:
         """Expand to a sorted list with repetition."""
-        out: list[float] = []
-        for v, m in self.entries:
-            out.extend([v] * m)
-        return out
+        return np.repeat(self._values, self._counts).tolist()
 
     def restrict(self, bound: float) -> "RealMultiset":
         """Entries with absolute value <= bound."""
-        return RealMultiset(((v, m) for v, m in self.entries if abs(v) <= bound), tol=0.0)
+        keep = np.abs(self._values) <= bound
+        return RealMultiset._trusted(self._values[keep], self._counts[keep])
 
     def min_positive(self, floor: float = 0.0) -> tuple[float, int] | None:
         """Smallest entry strictly greater than floor, with its multiplicity."""
-        for v, m in self.entries:
-            if v > floor:
-                return v, m
+        i = int(np.searchsorted(self._values, floor, side="right"))
+        if i < self._values.size and self._values[i] > floor:
+            return float(self._values[i]), int(self._counts[i])
         return None
 
     def count_near(self, value: float, tol: float) -> int:
         """Total multiplicity within tol of value."""
-        lo = bisect.bisect_left(self.entries, value - tol, key=_VALUE)
-        hi = bisect.bisect_right(self.entries, value + tol, key=_VALUE)
-        return sum(m for _, m in self.entries[lo:hi])
+        lo = np.searchsorted(self._values, value - tol, side="left")
+        hi = np.searchsorted(self._values, value + tol, side="right")
+        return int(self._counts[lo:hi].sum())
 
     def contains(self, pairs: Iterable[tuple[float, int]], tol: float) -> bool:
         """Whether every (value, mult) pair can be subtracted without underflow."""
@@ -130,8 +206,54 @@ class RealMultiset(_Multiset):
         for points sitting on the window boundary); otherwise it raises
         UnderflowError.
         """
+        pairs = list(pairs)
+        values = np.array([v for v, _ in pairs], dtype=np.float64)
+        return self._subtract(values, [m for _, m in pairs], tol, partial, pairs)
+
+    def _subtract(self, values: np.ndarray, wants, tol: float, partial: bool, pairs=None):
+        """``subtract`` of the pairs zip(values, wants), given as arrays.
+
+        All pairs are matched at once when every tol window holds at most one
+        entry; then an entry loses the sum of the wants that hit it.  Windows
+        holding several entries, and a shortfall to report, take the exact
+        sequential walk, which visits ``pairs`` (default: rebuilt from the
+        arrays) in order.
+        """
+        raw = wants
+        try:
+            wants = np.asarray(raw, dtype=np.int64)
+        except OverflowError:  # beyond any count: only the walk's Python ints hold it
+            wants = None
+        if wants is not None:
+            below, above = values - tol, values + tol
+            lo = np.searchsorted(self._values, below, side="left")
+            hi = np.searchsorted(self._values, above, side="right")
+            width = hi - lo
+            # the walk takes min(want, left) pair by pair; for nonnegative
+            # wants whose int64 sums cannot wrap, that is one clipped sum.
+            # A NaN bound makes bisect and searchsorted disagree.
+            if (
+                width.max(initial=0) <= 1
+                and wants.min(initial=0) >= 0
+                and int(wants.max(initial=0)) * wants.size < COUNT_LIMIT
+                and not (np.isnan(below).any() or np.isnan(above).any())
+            ):
+                hit = width == 1
+                need = np.zeros(self._counts.size, dtype=np.int64)
+                np.add.at(need, lo[hit], wants[hit])
+                short = bool(np.any(wants[~hit] > 0)) or bool(np.any(need > self._counts))
+                if partial or not short:
+                    left = np.maximum(self._counts - need, 0)
+                    keep = left > 0
+                    return RealMultiset._trusted(self._values[keep], left[keep])
+        if pairs is None:
+            pairs = list(zip(values.tolist(), np.asarray(raw, dtype=object).tolist()))
+        return self._subtract_exact(pairs, tol, partial)
+
+    def _subtract_exact(self, pairs, tol: float, partial: bool) -> "RealMultiset":
+        # the sequential rule that the vectorised path reproduces
         avail = [[v, m] for v, m in self.entries]
-        vals = [v for v, _ in self.entries]
+        vals = self._values.tolist()
         for value, want in pairs:
             lo = bisect.bisect_left(vals, value - tol)
             hi = bisect.bisect_right(vals, value + tol)
@@ -156,7 +278,7 @@ class RealMultiset(_Multiset):
 class ComplexMultiset(_Multiset):
     """Immutable multiset of complex numbers, canonically ordered by (re, im)."""
 
-    __slots__ = ()
+    __slots__ = ("entries",)
 
     def __init__(self, pairs: Iterable[tuple[complex, int]] = (), tol: float = TAU_ZERO):
         items = sorted(
@@ -196,22 +318,32 @@ def match_multisets(a: RealMultiset, b: RealMultiset, tol: float) -> MatchResult
 
     For one-dimensional data the sorted greedy pairing is an optimal
     bottleneck matching, so a multiplicity-respecting bijection with all
-    pair distances <= tol exists iff this one qualifies.
+    pair distances <= tol exists iff this one qualifies.  The pairing runs
+    over the (value, count) entries: the positions where a run of a or of b
+    starts split the pairs into segments of one repeated pair each.  A
+    position shared by both runs is listed twice, which repeats a pair and
+    changes neither the first failing pair nor the first worst one.
     """
-    av, bv = a.values(), b.values()
-    if len(av) != len(bv):
+    ca, cb = np.cumsum(a._counts), np.cumsum(b._counts)
+    na, nb = a.total(), b.total()
+    n = min(na, nb)
+    starts = np.sort(np.concatenate(([0] if n else [], ca[ca < n], cb[cb < n])))
+    x = a._values[np.searchsorted(ca, starts, side="right")]
+    y = b._values[np.searchsorted(cb, starts, side="right")]
+    d = np.abs(x - y)
+    if na != nb:
         # witness: first element whose cumulative count disagrees
-        for x, y in zip(av, bv):
-            if abs(x - y) > tol:
-                return MatchResult(False, float("inf"), x)
-        longer = av if len(av) > len(bv) else bv
-        return MatchResult(False, float("inf"), longer[min(len(av), len(bv))])
+        bad = np.flatnonzero(d > tol)
+        if bad.size:
+            return MatchResult(False, float("inf"), float(x[bad[0]]))
+        longer, cum = (a._values, ca) if na > nb else (b._values, cb)
+        return MatchResult(False, float("inf"), float(longer[np.searchsorted(cum, n, side="right")]))
     worst = 0.0
     worst_at: float | None = None
-    for x, y in zip(av, bv):
-        d = abs(x - y)
-        if d > worst:
-            worst, worst_at = d, x
+    if d.size:
+        i = int(np.argmax(np.where(d > 0.0, d, 0.0)))  # first largest; NaN never counts
+        if d[i] > 0.0:
+            worst, worst_at = float(d[i]), float(x[i])
     if worst > tol:
         return MatchResult(False, worst, worst_at)
     return MatchResult(True, worst, None)

@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import (
     AmbiguousTrace,
     DomainError,
@@ -36,7 +38,7 @@ from .multisets import (
     match_multisets,
     multiset_equal,
 )
-from .zeros import ZeroWindow, _check_window, class_trace, strip_k0, subtract_trace, zero_line
+from .zeros import ZeroWindow, _check_window, _n_range, _trace, strip_k0, subtract_trace, zero_line
 
 __all__ = [
     "RecoveryReport",
@@ -85,7 +87,6 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
                 f"window |Im(s)| <= {w.im_bound!r} cannot contain the first two trace "
                 f"points of recovered length {a!r}"
             )
-        trace = class_trace(a, 0.0, (0,), w)
         before = cur.total()
         try:
             cur = subtract_trace(cur, a, 0.0, (0,), mu, w, tol)
@@ -99,7 +100,7 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
                     "smallest": s0,
                     "length": a,
                     "multiplicity": mu,
-                    "trace_points": len(trace),
+                    "trace_points": len(_n_range(a, 0.0, 0, w.im_bound)),
                     "removed": before - cur.total(),
                 }
             )
@@ -136,19 +137,18 @@ class _Candidate(NamedTuple):
     ks: tuple
     reps: int  # trace copies one class copy leaves in the residual
     per: int  # points at c one class copy removes: 2 when b = 0 or b = pi
-    trace: list
+    trace_points: int
     nxt: RealMultiset  # the residual with one class copy removed
 
 
-def _probe_points(trace: list[float], im_bound: float, band: float) -> list[float]:
+def _probe_points(trace: np.ndarray, im_bound: float, band: float) -> list[float]:
     # a few discriminating interior points; cheap pre-check before full subtraction
-    interior = sorted(v for v in trace if abs(abs(v) - im_bound) > band)
-    if not interior:
+    interior = np.sort(trace[np.abs(np.abs(trace) - im_bound) > band])
+    n = interior.size
+    if not n:
         return []
-    picks = {interior[0], interior[-1], interior[len(interior) // 2]}
-    if len(interior) > 3:
-        picks.add(interior[len(interior) // 4])
-    return sorted(picks)
+    picks = [0, n - 1, n // 2] + ([n // 4] if n > 3 else [])
+    return sorted(set(interior[picks].tolist()))
 
 
 def _candidates(
@@ -163,7 +163,7 @@ def _candidates(
     found = []
 
     def probe(kind, idx, a, b, ks, reps):
-        trace = class_trace(a, b, ks, ctx.w)
+        trace = _trace(a, b, ks, ctx.w.im_bound)
         probes = _probe_points(trace, ctx.w.im_bound, ctx.band)
         if any(cur.count_near(v, ctx.tol) < reps for v in probes):
             return
@@ -173,7 +173,7 @@ def _candidates(
             return
         per = mult - nxt.count_near(c, 0.0)
         if per > 0:
-            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace, nxt))
+            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace.size, nxt))
 
     for idx, (a, rem) in enumerate(avail):
         if rem <= 0:
@@ -212,7 +212,7 @@ def _attribute(cur, avail, ratios, audit, c: float, cd: _Candidate, units: int, 
             "length": cd.a,
             "holonomy": cd.b,
             "multiplicity": emitted,
-            "trace_points": len(cd.trace),
+            "trace_points": cd.trace_points,
             "removed": cur.total() - nxt.total(),
         },
     )

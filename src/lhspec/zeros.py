@@ -16,9 +16,11 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import DomainError, UnderflowError
 from .geodesic import Spectrum
-from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset
+from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset, _count_array
 from .zeta import _index
 
 TWO_PI = 2.0 * math.pi
@@ -47,16 +49,23 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     return range(lo, hi + 1)
 
 
+def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0) -> np.ndarray:
+    """(-b*k - 2*n*pi)/a, k-major and n ascending, with n run ``pad`` steps past the window."""
+    if a <= 0:
+        raise DomainError(f"length must be positive, got {a!r}")
+    parts = []
+    for k in ks:
+        r = _n_range(a, b, k, im_bound)
+        n = np.arange(r.start - pad, r.stop + pad, dtype=np.float64)
+        # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
+        parts.append((-b * k - TWO_PI * n) / a + 0.0)
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
     """All windowed imaginary parts (-b*k - 2*n*pi)/a for k in ks (with repeats)."""
     w = _check_window(w)
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
-    out: list[float] = []
-    for k in ks:
-        # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
-        out.extend((-b * k - TWO_PI * n) / a + 0.0 for n in _n_range(a, b, k, w.im_bound))
-    return out
+    return _trace(a, b, ks, w.im_bound).tolist()
 
 
 def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
@@ -91,11 +100,11 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     w = _check_window(w)
     tau_m = _index(tau, "twist index")
     ks = range(-tau_m, tau_m + 1)
-    pairs: list[tuple[float, int]] = []
-    for cls in diff:
-        a, b, mult = float(cls[0]), float(cls[1]), int(cls[2])
-        pairs.extend((v, mult) for v in class_trace(a, b, ks, w))
-    return RealMultiset(pairs, tol=TAU_ZERO)
+    traces = [_trace(float(cls[0]), float(cls[1]), ks, w.im_bound) for cls in diff]
+    mults = _count_array([int(cls[2]) for cls in diff])
+    counts = np.repeat(mults, [t.size for t in traces])
+    values = np.concatenate(traces) if traces else np.empty(0)
+    return RealMultiset._from_arrays(values, counts, TAU_ZERO)
 
 
 def subtract_trace(
@@ -117,20 +126,21 @@ def subtract_trace(
     subtracted when present but forgiven when absent.
     """
     w = _check_window(w)
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
     band = tol * max(1.0, w.im_bound)
-    agg: dict[float, int] = {}
-    for k in ks:
-        r = _n_range(a, b, k, w.im_bound)
-        for n in range(r.start - 1, r.stop + 1):
-            v = (-b * k - TWO_PI * n) / a + 0.0
-            agg[v] = agg.get(v, 0) + mult
-    interior = [(v, m) for v, m in agg.items() if abs(v) <= w.im_bound - band]
-    edge = [(v, m) for v, m in agg.items() if abs(v) > w.im_bound - band]
-    out = ms.subtract(interior, tol)
-    if edge:
-        out = out.subtract(edge, tol, partial=True)
+    # repeated values merge with summed multiplicity, in order of first occurrence
+    trace, first, seen = np.unique(
+        _trace(a, b, ks, w.im_bound, pad=1), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    values, seen = trace[order], seen[order]
+    if abs(mult) * int(seen.max(initial=0)) < COUNT_LIMIT:
+        wants = seen * mult
+    else:  # past int64: Python ints, which only the exact walk takes
+        wants = seen.astype(object) * mult
+    inner = np.abs(values) <= w.im_bound - band
+    out = ms._subtract(values[inner], wants[inner], tol, partial=False)
+    if not inner.all():
+        out = out._subtract(values[~inner], wants[~inner], tol, partial=True)
     return out
 
 

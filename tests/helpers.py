@@ -1,10 +1,11 @@
 """Shared generators and oracles for the test suite."""
 
+import bisect
 import math
 
 import numpy as np
 
-from lhspec import CartanParams, Spectrum, exp_cartan
+from lhspec import CartanParams, Spectrum, UnderflowError, exp_cartan
 
 TWO_PI = 2.0 * math.pi
 
@@ -99,3 +100,52 @@ def expected_ratio_pairs(spec):
         else:
             pairs.append((min(b, TWO_PI - b) / a, mult))
     return pairs
+
+
+def subtract_reference(entries, pairs, tol, partial=False):
+    """Sequential multiset subtraction, the reference for RealMultiset.subtract.
+
+    Walks the (value, want) pairs in order; each drains the stored entries
+    inside its tol window in order of proximity.  Returns the surviving
+    (value, multiplicity) entries, or raises UnderflowError on a shortfall
+    unless ``partial``.
+    """
+    avail = [[v, m] for v, m in entries]
+    vals = [v for v, _ in entries]
+    for value, want in pairs:
+        lo = bisect.bisect_left(vals, value - tol)
+        hi = bisect.bisect_right(vals, value + tol)
+        near = sorted(range(lo, hi), key=lambda i: abs(vals[i] - value))
+        for i in near:
+            if want == 0:
+                break
+            take = min(want, avail[i][1])
+            avail[i][1] -= take
+            want -= take
+        if want > 0 and not partial:
+            raise UnderflowError(
+                f"cannot remove {want} more copies of {value!r} (multiset underflow)"
+            )
+    return tuple((v, m) for v, m in avail if m > 0)
+
+
+def match_reference(av, bv, tol):
+    """Greedy pairing of two expanded sorted value lists, the reference for match_multisets.
+
+    Returns (equal, max_distance, witness) as match_multisets does.
+    """
+    if len(av) != len(bv):
+        for x, y in zip(av, bv):
+            if abs(x - y) > tol:
+                return False, float("inf"), x
+        longer = av if len(av) > len(bv) else bv
+        return False, float("inf"), longer[min(len(av), len(bv))]
+    worst = 0.0
+    worst_at = None
+    for x, y in zip(av, bv):
+        d = abs(x - y)
+        if d > worst:
+            worst, worst_at = d, x
+    if worst > tol:
+        return False, worst, worst_at
+    return True, worst, None

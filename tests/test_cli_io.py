@@ -169,6 +169,44 @@ def test_cli_no_subcommand_is_usage_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["classify", "decompose"])
+@pytest.mark.parametrize(
+    "body",
+    ["{", "[1, 2, 3]", '[["a", 1]]', "[[1, 2], [3]]", '{"m": 1}', "[1" + "0" * 400 + "]"],
+    ids=["bad_json", "wrong_shape", "non_numeric", "ragged", "object", "huge_int"],
+)
+def test_cli_matrix_parse_errors(command, body, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(body)
+    assert run_cli([command, str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
+
+
+@pytest.mark.parametrize("command", ["zeta", "psi", "zeros"])
+def test_cli_tol_only_where_read(command, capsys):
+    argv = [command, str(DATA / "small.csv"), "--tol", "1"]
+    if command != "zeros":
+        argv += ["--s", "3+0i"]
+    assert run_cli(argv) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "2.0,0.5,4611686018427387904\n",
+        "2.0,0.5,4611686018427387904\n2.0,1.0,4611686018427387904\n",
+    ],
+    ids=["one_class", "two_same_length_classes"],
+)
+def test_recover_huge_multiplicity_ends_in_json(rows, tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("length,holonomy,multiplicity\n" + rows)
+    code = run_cli(["recover", str(path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code == 0 or (code in (1, 2) and out["error"]["code"] in ("domain_error", "parse_error"))
+
+
 def test_cli_stdin_matrix(capsys, monkeypatch):
     import io
 

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhspec import ComplexMultiset, MatchResult, RealMultiset, UnderflowError
-from lhspec.multisets import match_multisets, multiset_equal
+from lhspec import ComplexMultiset, DomainError, MatchResult, RealMultiset, UnderflowError
+from lhspec.multisets import _cluster, match_multisets, multiset_equal
+
+from helpers import match_reference, subtract_reference
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -79,6 +81,67 @@ def test_subtract_drains_by_proximity():
     ms = RealMultiset([(1.0, 1), (1.0 + 4e-10, 1)], tol=0.0)
     out = ms.subtract([(1.0 + 4e-10, 1)], tol=1e-9)
     assert out.entries == ((1.0, 1),)
+
+
+# stored values on a grid finer than the larger tolerances, so a window can
+# hold several entries; pair values on a half grid, so several pairs can hit
+# one entry and some fall between entries
+grid_pairs = st.lists(
+    st.tuples(st.integers(-8, 8).map(lambda i: i * 0.25), st.integers(1, 3)), max_size=10
+)
+query_pairs = st.lists(
+    st.tuples(st.integers(-16, 16).map(lambda i: i * 0.125), st.integers(0, 4)), max_size=10
+)
+
+
+@given(
+    st.lists(st.tuples(st.integers(-8, 8).map(lambda i: i * 0.25), st.integers(0, 3)), max_size=12),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 2.0]),
+)
+@settings(max_examples=300, deadline=None)
+def test_canonical_form_matches_sequential_clustering(pairs, tol):
+    # runs of neighbours within tol that span more than tol (0.3 on this grid)
+    # take the loop itself; the others are merged without it
+    assert RealMultiset(pairs, tol).entries == tuple(_cluster(pairs, tol))
+
+
+@given(grid_pairs, query_pairs, st.sampled_from([0.0, 0.1, 0.3, 0.6]), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_subtract_matches_sequential_reference(stored, pairs, tol, partial):
+    ms = RealMultiset(stored, tol=0.0)
+    try:
+        want = subtract_reference(ms.entries, pairs, tol, partial)
+    except UnderflowError as exc:
+        with pytest.raises(UnderflowError) as got:
+            ms.subtract(pairs, tol, partial)
+        assert str(got.value) == str(exc)
+    else:
+        assert ms.subtract(pairs, tol, partial).entries == want
+
+
+@given(grid_pairs, grid_pairs, st.sampled_from([0.0, 0.1, 0.3, 0.6]))
+@settings(max_examples=300, deadline=None)
+def test_match_matches_expanded_reference(xs, ys, tol):
+    a, b = RealMultiset(xs, tol=0.0), RealMultiset(ys, tol=0.0)
+    assert tuple(match_multisets(a, b, tol)) == match_reference(a.values(), b.values(), tol)
+
+
+def test_total_multiplicity_must_stay_below_two_to_63():
+    with pytest.raises(DomainError):
+        RealMultiset([(1.0, 2**62), (2.0, 2**62)])
+    with pytest.raises(DomainError):
+        RealMultiset([(1.0, 2**63)])
+    ms = RealMultiset([(1.0, 2**62), (2.0, 2**62 - 1)])
+    assert ms.total() == 2**63 - 1
+
+
+def test_match_huge_multiplicities_without_expanding():
+    a = RealMultiset([(1.0, 2**62), (2.0, 3)])
+    b = RealMultiset([(1.0, 2**62 - 1), (1.5, 1), (2.0, 3)])
+    assert match_multisets(a, a, 0.0) == MatchResult(True, 0.0, None)
+    assert match_multisets(a, b, 0.0) == MatchResult(False, 0.5, 1.0)
+    c = RealMultiset([(1.0, 2**62)])
+    assert match_multisets(a, c, 0.0) == MatchResult(False, math.inf, 2.0)
 
 
 def test_contains_and_add():
