@@ -148,6 +148,8 @@ def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
         holonomy = float(holonomy)
     except (TypeError, ValueError) as exc:
         raise ParseError(f"{where}: non-numeric field ({exc})") from exc
+    except OverflowError as exc:  # a JSON integer beyond the float range
+        raise ParseError(f"{where}: field out of the float range ({exc})") from exc
     m = _integer(mult, where)
     if not (length > 0):
         raise DomainError(f"{where}: length must be positive, got {length!r}")
@@ -187,6 +189,8 @@ def _load_json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON{what}: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError(f"invalid JSON{what}: nested too deeply") from None
 
 
 def _parse_json(text: str) -> Spectrum:

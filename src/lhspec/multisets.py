@@ -7,9 +7,9 @@ integer multiplicities must survive merging.  Entries closer than ``tol``
 are clustered; the representative of a cluster is its smallest member after
 sorting, which makes the canonical form independent of insertion order.
 
-A real multiset is stored as two sorted numpy arrays, distinct values and
-their positive int64 counts; its total multiplicity stays below 2**63 so
-that no count sum can wrap.
+A multiset is stored as sorted numpy arrays: float64 values (the real and
+imaginary parts for a complex multiset) and their positive int64 counts.
+Its total multiplicity stays below 2**63 so that no count sum can wrap.
 """
 
 from __future__ import annotations
@@ -29,15 +29,29 @@ COUNT_LIMIT = 2**63
 _TOO_MANY = "total multiplicity reaches 2**63 (counts are int64)"
 
 
-def _cluster(pairs: list[tuple[float, int]], tol: float) -> list[tuple[float, int]]:
-    """Sort (value, mult) pairs and merge values within tol of the cluster head."""
-    out: list[tuple[float, int]] = []
-    for v, m in sorted(pairs):
-        if out and abs(v - out[-1][0]) <= tol:
-            out[-1] = (out[-1][0], out[-1][1] + m)
+def _within(xs: list[np.ndarray], ys: list[np.ndarray], tol: float) -> np.ndarray:
+    """Whether the rows of the columns xs and ys lie within tol in every column."""
+    out = np.abs(xs[0] - ys[0]) <= tol
+    for x, y in zip(xs[1:], ys[1:]):
+        out &= np.abs(x - y) <= tol
+    return out
+
+
+def _cluster(
+    cols: list[np.ndarray], counts: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Walk sorted rows and merge each into the current cluster head when every
+    column lies within tol of the head's; returns head positions and summed counts."""
+    rows = list(zip(*(c.tolist() for c in cols)))
+    heads: list[int] = []
+    sums: list[int] = []
+    for i, (row, m) in enumerate(zip(rows, counts.tolist())):
+        if heads and all(abs(x - h) <= tol for x, h in zip(row, rows[heads[-1]])):
+            sums[-1] += m
         else:
-            out.append((v, m))
-    return [p for p in out if p[1] != 0]
+            heads.append(i)
+            sums.append(m)
+    return np.array(heads, dtype=np.intp), np.array(sums, dtype=np.int64)
 
 
 def _count_array(counts) -> np.ndarray:
@@ -48,52 +62,91 @@ def _count_array(counts) -> np.ndarray:
         raise DomainError(_TOO_MANY) from None
 
 
-def _canonical(values: np.ndarray, counts: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sort float64 values with nonnegative int64 counts and cluster them within tol."""
+def _canonical(
+    cols: list[np.ndarray], counts: np.ndarray, order: np.ndarray, tol: float
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Rows of float64 columns with nonnegative int64 counts, put in ``order``
+    and clustered within tol of their cluster head in every column."""
     if not tol >= 0:
         raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
     # the int64 sum cannot wrap while max * size stays below the limit
     if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
         if sum(counts.tolist()) >= COUNT_LIMIT:
             raise DomainError(_TOO_MANY)
-    order = np.lexsort((counts, values))  # the order of sorted((v, m) pairs)
-    values, counts = values[order], counts[order]
-    near = np.abs(np.diff(values)) <= tol
+    cols, counts = [c[order] for c in cols], counts[order]
+    near = _within([c[1:] for c in cols], [c[:-1] for c in cols], tol)
     if near.any():
         heads = np.flatnonzero(np.concatenate(([True], ~near)))
-        lasts = np.append(heads[1:], values.size) - 1
-        if np.all(values[lasts] - values[heads] <= tol):
-            # every run of near neighbours lies within tol of its head
-            values, counts = values[heads], np.add.reduceat(counts, heads)
-        else:
-            # a run longer than tol: the cluster heads depend on the walk
-            merged = _cluster(list(zip(values.tolist(), counts.tolist())), tol)
-            values = np.array([v for v, _ in merged], dtype=np.float64)
-            counts = np.array([m for _, m in merged], dtype=np.int64)
+        lasts = np.append(heads[1:], counts.size) - 1
+        firsts = [c[heads] for c in cols]
+        *lead, last = cols
+        # a run of near neighbours is one cluster when all of it lies within
+        # tol of its head: where its leading columns are constant the sort
+        # leaves the last one ascending, so the run spans last minus first.
+        # With leading columns, a head must also lie apart from the head
+        # before it (one sorted column implies that).
+        if (
+            all(np.array_equal(c[lasts], f) for c, f in zip(lead, firsts))
+            and np.all(last[lasts] - firsts[-1] <= tol)
+            and not (lead and _within([f[1:] for f in firsts], [f[:-1] for f in firsts], tol).any())
+        ):
+            counts = np.add.reduceat(counts, heads)
+        else:  # the cluster heads depend on the walk
+            heads, counts = _cluster(cols, counts, tol)
+        cols = [c[heads] for c in cols]
     keep = counts != 0
-    return values[keep], counts[keep]
+    return [c[keep] for c in cols], counts[keep]
 
 
 class _Multiset:
     """Immutable core shared by the real and complex multisets.
 
-    ``entries`` is the canonical tuple of (value, multiplicity) pairs.
-    Equality is type-exact, so a real multiset never equals a complex one.
+    Values live in sorted float64 arrays named by the subclass's
+    ``__slots__`` (the values of a real multiset, the real and imaginary
+    parts of a complex one) beside their positive int64 ``_counts``; the
+    total multiplicity stays below 2**63.  ``entries``, the canonical tuple
+    of (value, multiplicity) pairs, is derived from them.  Equality is
+    type-exact, so a real multiset never equals a complex one.
     """
 
-    __slots__ = ()
+    __slots__ = ("_counts",)
 
     def __setattr__(self, *a):  # pragma: no cover - immutability guard
         raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _set(self, *arrays: np.ndarray) -> None:
+        # the value arrays in slot order, then the counts
+        for name, arr in zip((*type(self).__slots__, "_counts"), arrays):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+
+    def _build(self, *arrays: np.ndarray, tol: float) -> None:
+        *cols, counts = arrays
+        cols, counts = _canonical(cols, counts, self._order(*arrays), tol)
+        self._set(*cols, counts)
+
+    @classmethod
+    def _from_arrays(cls, *arrays: np.ndarray, tol: float):
+        """Canonical multiset of float64 value arrays with nonnegative int64 counts."""
+        out = object.__new__(cls)
+        out._build(*arrays, tol=tol)
+        return out
+
+    @classmethod
+    def _trusted(cls, *arrays: np.ndarray):
+        """Wrap value arrays and counts that are already canonical (sorted, distinct, positive)."""
+        out = object.__new__(cls)
+        out._set(*arrays)
+        return out
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self._counts.size
 
     def __bool__(self) -> bool:
-        return bool(self.entries)
+        return self._counts.size > 0
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.entries == other.entries
@@ -107,7 +160,7 @@ class _Multiset:
 
     def total(self) -> int:
         """Total multiplicity."""
-        return sum(m for _, m in self.entries)
+        return int(self._counts.sum())
 
 
 class RealMultiset(_Multiset):
@@ -117,7 +170,7 @@ class RealMultiset(_Multiset):
     DomainError when the total multiplicity reaches 2**63.
     """
 
-    __slots__ = ("_values", "_counts")
+    __slots__ = ("_values",)
 
     def __init__(self, pairs: Iterable[tuple[float, int]] = (), tol: float = TAU_ZERO):
         pairs = [(float(v), int(m)) for v, m in pairs]
@@ -125,43 +178,21 @@ class RealMultiset(_Multiset):
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for value {v}")
         values, counts = zip(*pairs) if pairs else ((), ())
-        self._set(*_canonical(np.array(values, dtype=np.float64), _count_array(counts), tol))
+        self._build(np.array(values, dtype=np.float64), _count_array(counts), tol=tol)
 
-    def _set(self, values: np.ndarray, counts: np.ndarray) -> None:
-        values.flags.writeable = counts.flags.writeable = False
-        object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_counts", counts)
-
-    @classmethod
-    def _from_arrays(cls, values: np.ndarray, counts: np.ndarray, tol: float) -> "RealMultiset":
-        """Canonical multiset of float64 values with nonnegative int64 counts."""
-        return cls._trusted(*_canonical(values, counts, tol))
-
-    @classmethod
-    def _trusted(cls, values: np.ndarray, counts: np.ndarray) -> "RealMultiset":
-        """Wrap arrays that are already canonical (sorted, distinct, positive)."""
-        out = object.__new__(cls)
-        out._set(values, counts)
-        return out
+    @staticmethod
+    def _order(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        # by value, then count: the order of sorted((v, m) pairs)
+        return np.lexsort((counts, values))
 
     @classmethod
     def from_values(cls, values: Iterable[float], tol: float = TAU_ZERO) -> "RealMultiset":
         vals = np.fromiter(values, dtype=np.float64)
-        return cls._from_arrays(vals, np.ones(vals.size, dtype=np.int64), tol)
+        return cls._from_arrays(vals, np.ones(vals.size, dtype=np.int64), tol=tol)
 
     @property
     def entries(self) -> tuple[tuple[float, int], ...]:
         return tuple(zip(self._values.tolist(), self._counts.tolist()))
-
-    def __len__(self) -> int:
-        return self._values.size
-
-    def __bool__(self) -> bool:
-        return self._values.size > 0
-
-    def total(self) -> int:
-        """Total multiplicity."""
-        return int(self._counts.sum())
 
     def values(self) -> list[float]:
         """Expand to a sorted list with repetition."""
@@ -276,35 +307,44 @@ class RealMultiset(_Multiset):
 
 
 class ComplexMultiset(_Multiset):
-    """Immutable multiset of complex numbers, canonically ordered by (re, im)."""
+    """Immutable multiset of complex numbers, canonically ordered by (re, im).
 
-    __slots__ = ("entries",)
+    Values with equal (re, im) keep their insertion order, so the first
+    inserted of 0.0 and -0.0 represents a cluster.  Raises ValueError on a
+    negative multiplicity or tolerance, and DomainError when the total
+    multiplicity reaches 2**63.
+    """
+
+    __slots__ = ("_re", "_im")
 
     def __init__(self, pairs: Iterable[tuple[complex, int]] = (), tol: float = TAU_ZERO):
-        items = sorted(
-            ((complex(v), int(m)) for v, m in pairs), key=lambda p: (p[0].real, p[0].imag)
-        )
-        out: list[tuple[complex, int]] = []
-        for v, m in items:
-            if m < 0:
-                raise ValueError(f"negative multiplicity {m} for value {v}")
-            if out and abs(v.real - out[-1][0].real) <= tol and abs(v.imag - out[-1][0].imag) <= tol:
-                out[-1] = (out[-1][0], out[-1][1] + m)
-            else:
-                out.append((v, m))
-        object.__setattr__(self, "entries", tuple(p for p in out if p[1] != 0))
+        pairs = [(complex(v), int(m)) for v, m in pairs]
+        negative = [(v, m) for v, m in pairs if m < 0]
+        if negative:  # the first in canonical order
+            v, m = min(negative, key=lambda p: (p[0].real, p[0].imag))
+            raise ValueError(f"negative multiplicity {m} for value {v}")
+        re = np.array([v.real for v, _ in pairs], dtype=np.float64)
+        im = np.array([v.imag for v, _ in pairs], dtype=np.float64)
+        self._build(re, im, _count_array([m for _, m in pairs]), tol=tol)
+
+    @staticmethod
+    def _order(re: np.ndarray, im: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        # a stable sort by (re, im) alone: equal values keep insertion order
+        return np.lexsort((im, re))
+
+    @property
+    def entries(self) -> tuple[tuple[complex, int], ...]:
+        return tuple(zip(map(complex, self._re.tolist(), self._im.tolist()), self._counts.tolist()))
 
     def restrict_im(self, im_bound: float) -> "ComplexMultiset":
         """Entries with |Im| <= im_bound."""
-        return ComplexMultiset(
-            ((v, m) for v, m in self.entries if abs(v.imag) <= im_bound), tol=0.0
-        )
+        keep = np.abs(self._im) <= im_bound
+        return ComplexMultiset._trusted(self._re[keep], self._im[keep], self._counts[keep])
 
     def on_line(self, re_value: float = 0.0, tol: float = TAU_ZERO) -> RealMultiset:
         """Imaginary parts of the entries with Re == re_value (within tol)."""
-        return RealMultiset(
-            ((v.imag, m) for v, m in self.entries if abs(v.real - re_value) <= tol), tol
-        )
+        keep = np.abs(self._re - re_value) <= tol
+        return RealMultiset._from_arrays(self._im[keep], self._counts[keep], tol=tol)
 
 
 class MatchResult(NamedTuple):

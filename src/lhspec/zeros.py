@@ -49,17 +49,25 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     return range(lo, hi + 1)
 
 
-def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0) -> np.ndarray:
-    """(-b*k - 2*n*pi)/a, k-major and n ascending, with n run ``pad`` steps past the window."""
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
-    parts = []
+def _progressions(
+    a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0
+) -> list[np.ndarray]:
+    """(-b*k - 2*n*pi)/a for each k in ks, n ascending over the window and ``pad`` steps past it."""
+    out = []
     for k in ks:
         r = _n_range(a, b, k, im_bound)
         n = np.arange(r.start - pad, r.stop + pad, dtype=np.float64)
-        # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
-        parts.append((-b * k - TWO_PI * n) / a + 0.0)
-    return np.concatenate(parts) if parts else np.empty(0)
+        out.append((-b * k - TWO_PI * n) / a)
+    return out
+
+
+def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0) -> np.ndarray:
+    """The progressions of ks joined k-major, with -0.0 normalized to 0.0."""
+    if a <= 0:
+        raise DomainError(f"length must be positive, got {a!r}")
+    parts = _progressions(a, b, ks, im_bound, pad)
+    # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
+    return np.concatenate(parts) + 0.0 if parts else np.empty(0)
 
 
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
@@ -76,19 +84,27 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     """
     w = _check_window(w)
     tau_m = _index(tau, "twist index")
-    pairs: list[tuple[complex, int]] = []
+    # one progression per (class, k, m1, m2) in this order, which decides the
+    # sign of a zero imaginary part where -0.0 and 0.0 coincide
+    ims: list[np.ndarray] = []
+    res: list[float] = []
+    mults: list[int] = []
+    reach = tau_m + w.max_m  # |m1 - m2 + k| <= reach
     for cls in diff:
-        a, b, mult = float(cls[0]), float(cls[1]), int(cls[2])
+        a, b = float(cls[0]), float(cls[1])
+        kks = range(-reach, reach + 1)
+        lines = dict(zip(kks, _progressions(a, b, kks, w.im_bound)))
         for k in range(-tau_m, tau_m + 1):
             for m1 in range(w.max_m + 1):
                 for m2 in range(w.max_m + 1 - m1):
-                    kk = m1 - m2 + k
-                    re = float(-(m1 + m2))
-                    pairs.extend(
-                        (complex(re, (-b * kk - TWO_PI * n) / a), mult)
-                        for n in _n_range(a, b, kk, w.im_bound)
-                    )
-    return ComplexMultiset(pairs, tol=TAU_ZERO)
+                    ims.append(lines[m1 - m2 + k])
+                    res.append(float(-(m1 + m2)))
+                    mults.append(int(cls[2]))
+    sizes = [im.size for im in ims]
+    re = np.repeat(np.array(res, dtype=np.float64), sizes)
+    im = np.concatenate(ims) if ims else np.empty(0)
+    counts = np.repeat(_count_array(mults), sizes)
+    return ComplexMultiset._from_arrays(re, im, counts, tol=TAU_ZERO)
 
 
 def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
@@ -104,7 +120,7 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     mults = _count_array([int(cls[2]) for cls in diff])
     counts = np.repeat(mults, [t.size for t in traces])
     values = np.concatenate(traces) if traces else np.empty(0)
-    return RealMultiset._from_arrays(values, counts, TAU_ZERO)
+    return RealMultiset._from_arrays(values, counts, tol=TAU_ZERO)
 
 
 def subtract_trace(

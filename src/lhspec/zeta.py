@@ -7,10 +7,11 @@ the triple product over k in {-m..m}, classes p, and semilattice points
     1 - exp(-X),   X = i*k*b(p) + (m1+m2)*a(p) + i*(m1-m2)*b(p) + s*a(p),
 
 each lattice point entering with exponent 1.  Products are evaluated as
-compensated sums of log-factors with a single final exponential, so results
-are deterministic and do not underflow for deep truncations.  The full
-product converges for Re(s) > 2; the truncated one is defined wherever no
-factor vanishes, with a ConvergenceWarning outside the half-plane.
+exact (correctly rounded) sums of log-factors with a single final
+exponential, so results are deterministic and do not underflow for deep
+truncations.  The full product converges for Re(s) > 2; the truncated one
+is defined wherever no factor vanishes, with a ConvergenceWarning outside
+the half-plane.
 """
 
 from __future__ import annotations
@@ -90,17 +91,19 @@ def euler_factor(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> c
     return _one_minus_exp_neg(x.real, x.imag)
 
 
-def _factor_grid(k: int, cls, s: complex, max_m: int) -> np.ndarray:
-    # all local factors of one (k, class) pair over the (m1, m2) square
+def _factor_grids(cls, s: complex, tau_m: int, max_m: int):
+    # (k, grid of all local factors over the (m1, m2) square) for each k;
+    # the k-independent parts are computed once per class
     a, b = float(cls[0]), float(cls[1])
     m = np.arange(max_m + 1, dtype=float)
     m1, m2 = m[:, None], m[None, :]
     x_re = (m1 + m2) * a + s.real * a
-    x_im = k * b + (m1 - m2) * b + s.imag * a
     damp = np.exp(-x_re)
-    return (-np.expm1(-x_re) + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (
-        damp * np.sin(x_im)
-    )
+    re_head = -np.expm1(-x_re)
+    im_lattice = (m1 - m2) * b
+    for k in range(-tau_m, tau_m + 1):
+        x_im = k * b + im_lattice + s.imag * a
+        yield k, (re_head + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (damp * np.sin(x_im))
 
 
 def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
@@ -113,28 +116,69 @@ def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
         )
 
 
+# float64 bincount weights sum exactly below 2**53: fewer than 2**26 terms
+# of one 26-bit half of a 53-bit mantissa each
+_SPLIT = 26
+_MAX_TERMS = 2**_SPLIT
+# below this magnitude fewer than 2**26 terms sum to less than 2**995, so
+# neither fsum (which can raise OverflowError on an intermediate sum) nor
+# the final rounding overflows
+_BIG = 2.0**969
+# frexp exponents start at -1073 (the smallest subnormal); shifted to be >= 0
+_EXP_OFFSET = 1074
+
+
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of float64 terms, equal to math.fsum.
+
+    A term is q * 2**(exp - 53) with an integer mantissa |q| < 2**53 from
+    frexp.  The high and low 26 bits of q are summed per exponent by
+    bincount without rounding, the buckets add up to one Python int, and int
+    true division rounds it once.  Non-finite or huge terms, 2**26 terms or
+    more, and an exact-zero total (whose sign fsum decides) go to fsum.
+    """
+    if x.size >= _MAX_TERMS or not np.abs(x).max(initial=0.0) < _BIG:  # also NaN
+        return math.fsum(x.tolist())
+    q, exp = np.frexp(x)
+    q *= 2.0**53
+    hi = q * 2.0**-_SPLIT
+    np.floor(hi, out=hi)
+    lo = hi * 2.0**_SPLIT
+    np.subtract(q, lo, out=lo)  # in [0, 2**26), also for negative q
+    exp += _EXP_OFFSET
+    hi_sums = np.bincount(exp, weights=hi)
+    lo_sums = np.bincount(exp, weights=lo)
+    nz = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+    total = 0
+    for e, h, l in zip(nz.tolist(), hi_sums[nz].tolist(), lo_sums[nz].tolist()):
+        total += ((int(h) << _SPLIT) + int(l)) << e
+    if total == 0:
+        return math.fsum(x.tolist())
+    return total / (1 << (_EXP_OFFSET + 53))
+
+
 def _grid_sum(spec: Spectrum, tau, s: complex, tr, term) -> complex:
-    # compensated sum of term(cls, grid) -> (real parts, imaginary parts)
-    # over every (class, k) factor grid; called from the public entry points
+    # exact sum of term(cls, grid) -> (real parts, imaginary parts) over
+    # every (class, k) factor grid; called from the public entry points
     s = complex(s)
     tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
     _warn_halfplane(s, stacklevel=4)
-    re_terms: list[float] = []
-    im_terms: list[float] = []
+    re_parts: list[np.ndarray] = []
+    im_parts: list[np.ndarray] = []
     for cls in spec:
-        for k in range(-tau_m, tau_m + 1):
-            grid = _factor_grid(k, cls, s, max_m)
-            zero = np.argwhere(grid == 0)
-            if zero.size:
-                m1, m2 = (int(v) for v in zero[0])
+        for k, grid in _factor_grids(cls, s, tau_m, max_m):
+            if not grid.all():
+                m1, m2 = (int(v) for v in np.argwhere(grid == 0)[0])
                 raise FactorZero(
                     f"local factor vanishes at s={s!r} for k={k}, "
                     f"(m1, m2)=({m1}, {m2}), class (a={cls[0]!r}, b={cls[1]!r})"
                 )
             re, im = term(cls, grid)
-            re_terms.extend(re.tolist())
-            im_terms.extend(im.tolist())
-    return complex(math.fsum(re_terms), math.fsum(im_terms))
+            re_parts.append(re)
+            im_parts.append(im)
+    if not re_parts:
+        return 0j
+    return complex(_exact_sum(np.concatenate(re_parts)), _exact_sum(np.concatenate(im_parts)))
 
 
 def _log_term(cls, grid: np.ndarray) -> tuple:
@@ -152,7 +196,7 @@ def _log_derivative_term(cls, grid: np.ndarray) -> tuple:
 def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     """Truncated zeta value: the triple product of local factors.
 
-    Evaluated as exp of the compensated sum of multiplicity-weighted
+    Evaluated as exp of the exact sum of multiplicity-weighted
     log-factors.  Raises FactorZero if s is a zero of some local factor.
     """
     return complex(np.exp(_grid_sum(spec, tau, s, tr, _log_term)))

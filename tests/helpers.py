@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from lhspec import CartanParams, Spectrum, UnderflowError, exp_cartan
+from lhspec import CartanParams, FactorZero, Spectrum, UnderflowError, exp_cartan
 
 TWO_PI = 2.0 * math.pi
 
@@ -149,3 +149,97 @@ def match_reference(av, bv, tol):
     if worst > tol:
         return False, worst, worst_at
     return True, worst, None
+
+
+def cluster_reference(pairs, tol):
+    """Sort (value, mult) pairs and merge values within tol of the cluster head.
+
+    The sequential rule, the reference for the RealMultiset canonical form.
+    """
+    out = []
+    for v, m in sorted(pairs):
+        if out and abs(v - out[-1][0]) <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + m)
+        else:
+            out.append((v, m))
+    return [p for p in out if p[1] != 0]
+
+
+def complex_cluster_reference(pairs, tol):
+    """The ComplexMultiset canonical entries by a sequential walk.
+
+    A stable sort by (re, im), then each value merges into the cluster head
+    when both parts lie within tol of the head's.
+    """
+    items = sorted(((complex(v), int(m)) for v, m in pairs), key=lambda p: (p[0].real, p[0].imag))
+    out = []
+    for v, m in items:
+        if m < 0:
+            raise ValueError(f"negative multiplicity {m} for value {v}")
+        if out and abs(v.real - out[-1][0].real) <= tol and abs(v.imag - out[-1][0].imag) <= tol:
+            out[-1] = (out[-1][0], out[-1][1] + m)
+        else:
+            out.append((v, m))
+    return tuple(p for p in out if p[1] != 0)
+
+
+def zero_multiset_entries_reference(spec, tau_m, w, tol=1e-9):
+    """zero_multiset(...).entries with one Python complex per point.
+
+    The same float arithmetic (-b*kk - 2*pi*n)/a, point by point in the order
+    class, k, m1, m2, n, clustered by complex_cluster_reference.
+    """
+    pairs = []
+    for a, b, mult in spec:
+        for k in range(-tau_m, tau_m + 1):
+            for m1 in range(w.max_m + 1):
+                for m2 in range(w.max_m + 1 - m1):
+                    kk = m1 - m2 + k
+                    lo = math.ceil((-w.im_bound * a - b * kk) / TWO_PI)
+                    hi = math.floor((w.im_bound * a - b * kk) / TWO_PI)
+                    re = float(-(m1 + m2))
+                    pairs.extend(
+                        (complex(re, (-b * kk - TWO_PI * n) / a), mult) for n in range(lo, hi + 1)
+                    )
+    return complex_cluster_reference(pairs, tol)
+
+
+def _factor_grid_reference(k, a, b, s, max_m):
+    m = np.arange(max_m + 1, dtype=float)
+    m1, m2 = m[:, None], m[None, :]
+    x_re = (m1 + m2) * a + s.real * a
+    x_im = k * b + (m1 - m2) * b + s.imag * a
+    damp = np.exp(-x_re)
+    return (-np.expm1(-x_re) + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (
+        damp * np.sin(x_im)
+    )
+
+
+def grid_sum_reference(spec, tau_m, s, max_m, log_terms):
+    """Euler-product grid sum by per-grid tolist and math.fsum.
+
+    ``log_terms`` selects the log-factors (zeta) or the terms a*(1/f - 1)
+    (log-derivative); returns the complex sum, or raises FactorZero with the
+    message of the library.
+    """
+    s = complex(s)
+    re_terms, im_terms = [], []
+    for a, b, mult in spec:
+        for k in range(-tau_m, tau_m + 1):
+            grid = _factor_grid_reference(k, a, b, s, max_m)
+            zero = np.argwhere(grid == 0)
+            if zero.size:
+                m1, m2 = (int(v) for v in zero[0])
+                raise FactorZero(
+                    f"local factor vanishes at s={s!r} for k={k}, "
+                    f"(m1, m2)=({m1}, {m2}), class (a={a!r}, b={b!r})"
+                )
+            if log_terms:
+                logs = np.log(grid).ravel()
+                re, im = mult * logs.real, mult * logs.imag
+            else:
+                terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
+                re, im = terms.real, terms.imag
+            re_terms.extend(re.tolist())
+            im_terms.extend(im.tolist())
+    return complex(math.fsum(re_terms), math.fsum(im_terms))

@@ -207,6 +207,47 @@ def test_recover_huge_multiplicity_ends_in_json(rows, tmp_path, capsys):
     assert code == 0 or (code in (1, 2) and out["error"]["code"] in ("domain_error", "parse_error"))
 
 
+def test_zeros_total_multiplicity_past_int64_ends_in_json(tmp_path, capsys):
+    # each zero of a class of multiplicity 2**62 is listed with it, so two
+    # zeros reach the 2**63 total that int64 counts cannot hold
+    path = tmp_path / "huge.csv"
+    path.write_text("length,holonomy,multiplicity\n2.0,0.5,4611686018427387904\n")
+    assert run_cli(["zeros", str(path), "--tau", "0", "--maxm", "0", "--imbound", "1"]) == 0
+    assert [z["multiplicity"] for z in json.loads(capsys.readouterr().out)["zeros"]] == [2**62]
+    assert run_cli(["zeros", str(path), "--imbound", "10"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+
+
+@pytest.mark.parametrize("field", ["length", "holonomy"])
+def test_recover_integer_too_large_for_a_float(field, tmp_path, capsys):
+    row = {"length": "2", "holonomy": "1", "multiplicity": "1"}
+    row[field] = "1" + "0" * 400
+    path = tmp_path / "huge.json"
+    path.write_text("[{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}]")
+    assert run_cli(["recover", str(path)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "parse_error" and "entry 0" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify"],
+        ["decompose"],
+        ["zeros"],
+        ["zeta", "--s", "3+0i"],
+        ["recover"],
+        ["recover", "--kind", "zeros", "--imbound", "5"],
+    ],
+    ids=["classify", "decompose", "zeros", "zeta", "recover_spectrum", "recover_zeros"],
+)
+def test_cli_deeply_nested_json(argv, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 6000 + "]" * 6000)
+    assert run_cli([argv[0], str(path), *argv[1:]]) == 2
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
+
+
 def test_cli_stdin_matrix(capsys, monkeypatch):
     import io
 

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhspec import ComplexMultiset, DomainError, MatchResult, RealMultiset, UnderflowError
-from lhspec.multisets import _cluster, match_multisets, multiset_equal
+from lhspec.multisets import match_multisets, multiset_equal
 
-from helpers import match_reference, subtract_reference
+from helpers import (
+    cluster_reference,
+    complex_cluster_reference,
+    match_reference,
+    subtract_reference,
+)
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 
@@ -102,7 +107,7 @@ query_pairs = st.lists(
 def test_canonical_form_matches_sequential_clustering(pairs, tol):
     # runs of neighbours within tol that span more than tol (0.3 on this grid)
     # take the loop itself; the others are merged without it
-    assert RealMultiset(pairs, tol).entries == tuple(_cluster(pairs, tol))
+    assert RealMultiset(pairs, tol).entries == tuple(cluster_reference(pairs, tol))
 
 
 @given(grid_pairs, query_pairs, st.sampled_from([0.0, 0.1, 0.3, 0.6]), st.booleans())
@@ -155,6 +160,48 @@ def test_complex_multiset_canonical_and_merge():
     zs = ComplexMultiset([(1 + 2j, 1), (1 + 2j + 1e-12j, 2), (-1 + 0j, 1)])
     assert zs.entries == ((-1 + 0j, 1), (1 + 2j, 3))
     assert zs.total() == 4
+
+
+# parts on a quarter grid and -0.0: runs of near neighbours can span more
+# than tol, a head can lie within tol of the head before it while apart
+# from its own predecessor, and 0.0 and -0.0 coincide
+complex_part = st.integers(-6, 6).map(lambda i: i * 0.25) | st.just(-0.0)
+
+
+@given(
+    st.lists(
+        st.tuples(st.builds(complex, complex_part, complex_part), st.integers(0, 3)), max_size=12
+    ),
+    st.sampled_from([0.0, 0.1, 0.3, 0.6, 2.0]),
+)
+@settings(max_examples=400, deadline=None)
+def test_complex_canonical_form_matches_sequential_walk(pairs, tol):
+    # repr, so the sign of a zero part counts
+    assert repr(ComplexMultiset(pairs, tol).entries) == repr(complex_cluster_reference(pairs, tol))
+
+
+def test_complex_clusters_follow_the_walk():
+    # (0.6+0.9j) is apart from its predecessor but within tol of the head 0j
+    pairs = [(0j, 1), (0.5 - 0.9j, 1), (0.6 + 0.9j, 1), (5 + 3j, 2)]
+    assert ComplexMultiset(pairs, tol=1.0).entries == ((0j, 3), (5 + 3j, 2))
+    assert ComplexMultiset(pairs, tol=1.0).entries == complex_cluster_reference(pairs, 1.0)
+    # equal values keep insertion order: the first of 0.0 and -0.0 represents
+    assert repr(ComplexMultiset([(complex(0.0, -0.0), 1), (0j, 1)]).entries) == "((-0j, 2),)"
+    assert repr(ComplexMultiset([(0j, 1), (complex(0.0, -0.0), 1)]).entries) == "((0j, 2),)"
+
+
+def test_complex_multiset_rejects_what_the_real_one_does():
+    pairs = [(2j, -1), (1j, -2), (0j, 1)]
+    with pytest.raises(ValueError) as got:
+        ComplexMultiset(pairs)
+    with pytest.raises(ValueError) as want:
+        complex_cluster_reference(pairs, 1e-9)
+    assert str(got.value) == str(want.value) == "negative multiplicity -2 for value 1j"
+    for tol in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            ComplexMultiset([(1j, 1)], tol)
+    with pytest.raises(DomainError):
+        ComplexMultiset([(1j, 2**62), (2j, 2**62)])
 
 
 def test_complex_restrict_im_and_on_line():

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhspec import (
     ComplexMultiset,
@@ -21,7 +23,7 @@ from lhspec import (
 )
 from lhspec.zeros import subtract_trace
 
-from helpers import TWO_PI, rand_spectrum
+from helpers import TWO_PI, rand_spectrum, zero_multiset_entries_reference
 
 
 def brute_zeros(spec, tau_m, w, n_span=2000):
@@ -90,6 +92,26 @@ def test_zero_multiset_matches_brute_force_oracle(rng):
         spec = rand_spectrum(rng, max_classes=3, lmin=0.5, lmax=4.0, b_margin=0.0)
         w = ZeroWindow(int(rng.integers(0, 3)), float(rng.uniform(3.0, 10.0)))
         assert zero_multiset(spec, 1, w) == brute_zeros(spec, 1, w)
+
+
+# commensurable lengths and holonomies 0 and pi make coincident zeros, where
+# the first generated of 0.0 and -0.0 represents a cluster
+zero_rows = st.lists(
+    st.tuples(
+        st.sampled_from([1.0, 2.0, 0.5, math.pi]) | st.floats(0.3, 5.0),
+        st.sampled_from([0.0, math.pi]) | st.floats(0.0, TWO_PI, exclude_max=True),
+        st.integers(1, 3),
+    ),
+    max_size=4,
+)
+
+
+@given(zero_rows, st.integers(0, 2), st.integers(0, 2), st.floats(0.5, 30.0))
+@settings(max_examples=200, deadline=None)
+def test_zero_multiset_matches_pointwise_reference(rows, tau_m, max_m, im_bound):
+    spec, w = Spectrum(rows), ZeroWindow(max_m, im_bound)
+    want = zero_multiset_entries_reference(spec, tau_m, w)
+    assert repr(zero_multiset(spec, tau_m, w).entries) == repr(want)
 
 
 def test_zero_line_is_the_re_zero_slice(rng):

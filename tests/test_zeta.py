@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lhspec import (
     ConvergenceWarning,
@@ -25,7 +27,9 @@ from lhspec import (
     zeta_tau,
 )
 
-from helpers import TWO_PI, rand_spectrum
+from lhspec.zeta import _exact_sum
+
+from helpers import TWO_PI, grid_sum_reference, rand_spectrum
 
 E3 = math.exp(-3.0)
 
@@ -279,3 +283,66 @@ def test_values_are_finite_on_random_inputs(rng):
         z = zeta_tau(spec, 2, s, 15)
         assert np.isfinite(z.real) and np.isfinite(z.imag)
         assert abs(z) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# the exact reducer against math.fsum, and the grid sums against the per-grid
+# tolist + fsum reducer; repr is compared, so signed zeros count
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError, FactorZero) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_exact_sum(xs):
+    assert _outcome(_exact_sum, np.array(xs, dtype=np.float64)) == _outcome(math.fsum, xs)
+
+
+wide = st.builds(lambda m, e: m * 10.0**e, st.floats(-10.0, 10.0), st.integers(-300, 300))
+subnormal = st.integers(-(2**52), 2**52).map(lambda i: i * 5e-324)
+
+
+@given(st.lists(st.floats(width=64) | wide | subnormal, max_size=40))
+@example([])
+@example([-0.0])
+@example([-0.0, -0.0])
+@example([5e-324, -5e-324])
+@example([1e308, 1e308, -1e308])  # fsum's intermediate OverflowError
+@example([math.inf, -math.inf])
+@example([math.nan, 1.0])
+@example([1e300, 1e-300, -1e300])
+@settings(max_examples=400, deadline=None)
+def test_exact_sum_matches_fsum(xs):
+    _check_exact_sum(xs)
+
+
+@given(st.lists(wide | subnormal, max_size=30), st.lists(wide, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_exact_sum_matches_fsum_on_cancelling_pairs(xs, rest):
+    # the pairs cancel exactly, so the total is what ``rest`` leaves
+    _check_exact_sum(xs + rest + [-x for x in reversed(xs)])
+
+
+holonomies = st.sampled_from([0.0, math.pi]) | st.floats(0.0, TWO_PI, exclude_max=True)
+class_rows = st.lists(
+    st.tuples(st.floats(0.3, 5.0), holonomies, st.integers(1, 3)), min_size=1, max_size=4
+)
+points = st.sampled_from([0j, -1 + 0j, 2.5 + 0j, 2.05 + 0.5j]) | st.builds(
+    complex, st.floats(-1.0, 4.0), st.floats(-6.0, 6.0)
+)
+
+
+@given(class_rows, st.integers(0, 2), points, st.integers(0, 8) | st.just(30))
+@settings(max_examples=150, deadline=None)
+def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
+    spec = Spectrum(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        got_log = _outcome(zeta_tau, spec, tau_m, s, max_m)
+        got_psi = _outcome(log_derivative, spec, tau_m, s, max_m)
+    want_log = _outcome(lambda: complex(np.exp(grid_sum_reference(spec, tau_m, s, max_m, True))))
+    want_psi = _outcome(grid_sum_reference, spec, tau_m, s, max_m, False)
+    assert (got_log, got_psi) == (want_log, want_psi)
