@@ -293,25 +293,13 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
 
 
 def _default_imbound(*specs: Spectrum) -> float:
-    lengths = [c.length for spec in specs for c in spec]
+    lengths = [spec.min_length() for spec in specs if spec]
     return 20.0 * math.pi / min(lengths) if lengths else 20.0 * math.pi
 
 
 def _window(args, *specs: Spectrum) -> ZeroWindow:
     im_bound = args.imbound if args.imbound is not None else _default_imbound(*specs)
     return ZeroWindow(args.maxm, im_bound)
-
-
-def _expected_ratios(spec: Spectrum, tol: float) -> RealMultiset:
-    # canonical ratio min(b, 2pi-b)/a per class; zero-holonomy classes appear
-    # as ratio 0 with doubled multiplicity (the k = +1 and -1 leftovers)
-    pairs = []
-    for c in spec:
-        if c.holonomy == 0.0:
-            pairs.append((0.0, 2 * c.multiplicity))
-        else:
-            pairs.append((min(c.holonomy, TWO_PI - c.holonomy) / c.length, c.multiplicity))
-    return RealMultiset(pairs, tol)
 
 
 def _cmd_decompose(args) -> dict:
@@ -383,7 +371,7 @@ def _cmd_recover(args) -> dict:
         return out
     matches = [
         match_multisets(lengths, spec.lengths(), tol),
-        match_multisets(ratios, _expected_ratios(spec, tol), tol),
+        match_multisets(ratios, spec.ratios(tol), tol),
     ]
     report = RecoveryReport.from_matches(
         lengths, ratios, matches, ("roundtrip against the invariants of the input spectrum",), False

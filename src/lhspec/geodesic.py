@@ -12,13 +12,13 @@ identification (a, b) ~ (a, 2pi - b).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, NotInGroup, NotLoxodromic
 from .lie_so31 import J
-from .multisets import RealMultiset
+from .multisets import RealMultiset, _count_array, _Multiset
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,64 +61,66 @@ def _validate(cls: PrimitiveClass) -> PrimitiveClass:
     return PrimitiveClass(length, holonomy, mult)
 
 
-class Spectrum:
+class Spectrum(_Multiset):
     """Canonically sorted finite multiset of PrimitiveClass.
 
     Entries agreeing in both coordinates within ``tol`` are merged by
     multiplicity addition; the representative of a merged cluster is the
     first entry in canonical (length, holonomy) order, so the stored form
-    does not depend on insertion order.
+    does not depend on insertion order.  Stored as sorted ``_lengths`` and
+    ``_holonomies`` beside the counts, from which ``classes`` is derived;
+    raises ValueError on a negative or NaN tolerance, and DomainError when
+    the total multiplicity reaches 2**63.
     """
 
-    __slots__ = ("classes",)
+    __slots__ = ("_lengths", "_holonomies")
 
     def __init__(self, classes: Iterable = (), tol: float = TAU_SPEC):
-        items = sorted(_validate(PrimitiveClass(*c)) for c in classes)
-        merged: list[PrimitiveClass] = []
-        for c in items:
-            if (
-                merged
-                and abs(c.length - merged[-1].length) <= tol
-                and abs(c.holonomy - merged[-1].holonomy) <= tol
-            ):
-                prev = merged[-1]
-                merged[-1] = prev._replace(multiplicity=prev.multiplicity + c.multiplicity)
-            else:
-                merged.append(c)
-        self.classes: tuple[PrimitiveClass, ...] = tuple(merged)
+        rows = [_validate(PrimitiveClass(*c)) for c in classes]
+        lengths, holonomies, mults = zip(*rows) if rows else ((), (), ())
+        cols = (np.array(lengths, dtype=np.float64), np.array(holonomies, dtype=np.float64))
+        self._build(*cols, _count_array(mults), tol=tol)
 
-    def __iter__(self) -> Iterator[PrimitiveClass]:
-        return iter(self.classes)
+    @staticmethod
+    def _order(lengths: np.ndarray, holonomies: np.ndarray, counts: np.ndarray) -> np.ndarray:
+        # the stable order of sorted(PrimitiveClass tuples)
+        return np.lexsort((counts, holonomies, lengths))
 
-    def __len__(self) -> int:
-        return len(self.classes)
+    @property
+    def classes(self) -> tuple[PrimitiveClass, ...]:
+        cols = (self._lengths.tolist(), self._holonomies.tolist(), self._counts.tolist())
+        return tuple(map(PrimitiveClass, *cols))
 
-    def __bool__(self) -> bool:
-        return bool(self.classes)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Spectrum) and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash(self.classes)
+    entries = classes
 
     def __repr__(self) -> str:
         return f"Spectrum({list(self.classes)!r})"
 
-    def total(self) -> int:
-        return sum(c.multiplicity for c in self.classes)
-
     def lengths(self) -> RealMultiset:
         """Length multiset with multiplicity (holonomy forgotten)."""
-        return RealMultiset(((c.length, c.multiplicity) for c in self.classes), tol=TAU_SPEC)
+        return RealMultiset._from_arrays(self._lengths, self._counts, tol=TAU_SPEC)
+
+    def ratios(self, tol: float = TAU_SPEC) -> RealMultiset:
+        """Canonical ratio multiset: min(b, 2pi - b)/a per class.
+
+        A zero-holonomy class appears as ratio 0 with doubled multiplicity
+        (the k = +1 and -1 leftovers of its coincident traces), as ratio
+        peeling reports it.
+        """
+        b = self._holonomies
+        zero = b == 0.0
+        values = np.where(zero, 0.0, np.minimum(b, TWO_PI - b) / self._lengths)
+        # doubled counts as Python ints, so that one past int64 raises
+        counts = _count_array(self._counts.astype(object) * (1 + zero))
+        return RealMultiset._from_arrays(values, counts, tol=tol)
 
     def min_length(self) -> float:
-        if not self.classes:
+        if not self:
             raise DomainError("empty spectrum has no minimal length")
-        return min(c.length for c in self.classes)
+        return float(self._lengths[0])
 
     def union(self, other: "Spectrum") -> "Spectrum":
-        return Spectrum(list(self.classes) + list(other.classes))
+        return Spectrum(self.classes + other.classes)
 
     def inverse(self) -> "Spectrum":
         """The spectrum of the inverse classes: (a, b) -> (a, (2pi - b) mod 2pi)."""
@@ -148,23 +150,28 @@ def spectrum_difference(
     """Multiset differences (spec1 - spec2, spec2 - spec1) on (length, holonomy).
 
     Classes matching in both coordinates within tol cancel multiplicity-wise;
-    only the excess on each side survives.
+    only the excess on each side survives.  Each class of spec1 drains the
+    matching classes of spec2 in their canonical order.
     """
-    left: list[PrimitiveClass] = []
-    remaining = [list(c) for c in spec2.classes]
-    for c in spec1.classes:
-        want = c.multiplicity
-        for r in remaining:
-            if want == 0:
+    left, right = spec1._counts.tolist(), spec2._counts.tolist()
+    rows2 = list(zip(spec2._lengths.tolist(), spec2._holonomies.tolist()))
+    for i, (a, b) in enumerate(zip(spec1._lengths.tolist(), spec1._holonomies.tolist())):
+        for j, (a2, b2) in enumerate(rows2):
+            if left[i] == 0:
                 break
-            if r[2] > 0 and abs(c.length - r[0]) <= tol and abs(c.holonomy - r[1]) <= tol:
-                take = min(want, r[2])
-                r[2] -= take
-                want -= take
-        if want > 0:
-            left.append(c._replace(multiplicity=want))
-    right = [PrimitiveClass(r[0], r[1], r[2]) for r in remaining if r[2] > 0]
-    return Spectrum(left, tol=tol), Spectrum(right, tol=tol)
+            if abs(a - a2) <= tol and abs(b - b2) <= tol:
+                take = min(left[i], right[j])
+                left[i] -= take
+                right[j] -= take
+
+    def rest(spec: Spectrum, counts: list[int]) -> Spectrum:
+        # the surviving classes, canonicalized again at tol
+        counts = np.array(counts, dtype=np.int64)
+        keep = counts > 0
+        cols = (spec._lengths[keep], spec._holonomies[keep], counts[keep])
+        return Spectrum._from_arrays(*cols, tol=tol)
+
+    return rest(spec1, left), rest(spec2, right)
 
 
 def group_residual(g) -> float:

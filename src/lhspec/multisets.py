@@ -99,13 +99,14 @@ def _canonical(
 
 
 class _Multiset:
-    """Immutable core shared by the real and complex multisets.
+    """Immutable core shared by the real and complex multisets and the spectrum.
 
     Values live in sorted float64 arrays named by the subclass's
     ``__slots__`` (the values of a real multiset, the real and imaginary
-    parts of a complex one) beside their positive int64 ``_counts``; the
-    total multiplicity stays below 2**63.  ``entries``, the canonical tuple
-    of (value, multiplicity) pairs, is derived from them.  Equality is
+    parts of a complex one, the lengths and holonomies of a spectrum)
+    beside their positive int64 ``_counts``; the total multiplicity stays
+    below 2**63.  ``entries``, the canonical tuple of (value, multiplicity)
+    pairs (of classes, for a spectrum), is derived from them.  Equality is
     type-exact, so a real multiset never equals a complex one.
     """
 

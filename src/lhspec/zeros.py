@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, UnderflowError
 from .geodesic import Spectrum
-from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset, _count_array
+from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset
 from .zeta import _index
 
 TWO_PI = 2.0 * math.pi
@@ -44,8 +44,11 @@ def _check_window(w) -> ZeroWindow:
 
 def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     # integers n with |(-b*kk - 2*n*pi)/a| <= im_bound, exact bounds
-    lo = math.ceil((-im_bound * a - b * kk) / TWO_PI)
-    hi = math.floor((im_bound * a - b * kk) / TWO_PI)
+    span = im_bound * a
+    if not math.isfinite(span):
+        raise DomainError(f"window im_bound {im_bound!r} times length {a!r} is not finite")
+    lo = math.ceil((-span - b * kk) / TWO_PI)
+    hi = math.floor((span - b * kk) / TWO_PI)
     return range(lo, hi + 1)
 
 
@@ -88,22 +91,21 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     # sign of a zero imaginary part where -0.0 and 0.0 coincide
     ims: list[np.ndarray] = []
     res: list[float] = []
-    mults: list[int] = []
     reach = tau_m + w.max_m  # |m1 - m2 + k| <= reach
-    for cls in diff:
-        a, b = float(cls[0]), float(cls[1])
-        kks = range(-reach, reach + 1)
+    kks = range(-reach, reach + 1)
+    for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist()):
         lines = dict(zip(kks, _progressions(a, b, kks, w.im_bound)))
         for k in range(-tau_m, tau_m + 1):
             for m1 in range(w.max_m + 1):
                 for m2 in range(w.max_m + 1 - m1):
                     ims.append(lines[m1 - m2 + k])
                     res.append(float(-(m1 + m2)))
-                    mults.append(int(cls[2]))
     sizes = [im.size for im in ims]
     re = np.repeat(np.array(res, dtype=np.float64), sizes)
     im = np.concatenate(ims) if ims else np.empty(0)
-    counts = np.repeat(_count_array(mults), sizes)
+    # every class contributes the same number of progressions
+    per_class = len(ims) // max(len(diff), 1)
+    counts = np.repeat(np.repeat(diff._counts, per_class), sizes)
     return ComplexMultiset._from_arrays(re, im, counts, tol=TAU_ZERO)
 
 
@@ -116,9 +118,11 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     w = _check_window(w)
     tau_m = _index(tau, "twist index")
     ks = range(-tau_m, tau_m + 1)
-    traces = [_trace(float(cls[0]), float(cls[1]), ks, w.im_bound) for cls in diff]
-    mults = _count_array([int(cls[2]) for cls in diff])
-    counts = np.repeat(mults, [t.size for t in traces])
+    traces = [
+        _trace(a, b, ks, w.im_bound)
+        for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist())
+    ]
+    counts = np.repeat(diff._counts, [t.size for t in traces])
     values = np.concatenate(traces) if traces else np.empty(0)
     return RealMultiset._from_arrays(values, counts, tol=TAU_ZERO)
 

@@ -91,10 +91,9 @@ def euler_factor(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> c
     return _one_minus_exp_neg(x.real, x.imag)
 
 
-def _factor_grids(cls, s: complex, tau_m: int, max_m: int):
+def _factor_grids(a: float, b: float, s: complex, tau_m: int, max_m: int):
     # (k, grid of all local factors over the (m1, m2) square) for each k;
     # the k-independent parts are computed once per class
-    a, b = float(cls[0]), float(cls[1])
     m = np.arange(max_m + 1, dtype=float)
     m1, m2 = m[:, None], m[None, :]
     x_re = (m1 + m2) * a + s.real * a
@@ -158,22 +157,23 @@ def _exact_sum(x: np.ndarray) -> float:
 
 
 def _grid_sum(spec: Spectrum, tau, s: complex, tr, term) -> complex:
-    # exact sum of term(cls, grid) -> (real parts, imaginary parts) over
+    # exact sum of term(a, mult, grid) -> (real parts, imaginary parts) over
     # every (class, k) factor grid; called from the public entry points
     s = complex(s)
     tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
     _warn_halfplane(s, stacklevel=4)
     re_parts: list[np.ndarray] = []
     im_parts: list[np.ndarray] = []
-    for cls in spec:
-        for k, grid in _factor_grids(cls, s, tau_m, max_m):
+    classes = zip(spec._lengths.tolist(), spec._holonomies.tolist(), spec._counts.tolist())
+    for a, b, mult in classes:
+        for k, grid in _factor_grids(a, b, s, tau_m, max_m):
             if not grid.all():
                 m1, m2 = (int(v) for v in np.argwhere(grid == 0)[0])
                 raise FactorZero(
                     f"local factor vanishes at s={s!r} for k={k}, "
-                    f"(m1, m2)=({m1}, {m2}), class (a={cls[0]!r}, b={cls[1]!r})"
+                    f"(m1, m2)=({m1}, {m2}), class (a={a!r}, b={b!r})"
                 )
-            re, im = term(cls, grid)
+            re, im = term(a, mult, grid)
             re_parts.append(re)
             im_parts.append(im)
     if not re_parts:
@@ -181,14 +181,12 @@ def _grid_sum(spec: Spectrum, tau, s: complex, tr, term) -> complex:
     return complex(_exact_sum(np.concatenate(re_parts)), _exact_sum(np.concatenate(im_parts)))
 
 
-def _log_term(cls, grid: np.ndarray) -> tuple:
+def _log_term(a: float, mult: int, grid: np.ndarray) -> tuple:
     logs = np.log(grid).ravel()
-    mult = int(cls[2])
     return mult * logs.real, mult * logs.imag
 
 
-def _log_derivative_term(cls, grid: np.ndarray) -> tuple:
-    a, mult = float(cls[0]), int(cls[2])
+def _log_derivative_term(a: float, mult: int, grid: np.ndarray) -> tuple:
     terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
     return terms.real, terms.imag
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from lhspec import CartanParams, FactorZero, Spectrum, UnderflowError, exp_cartan
+from lhspec import CartanParams, FactorZero, PrimitiveClass, Spectrum, UnderflowError, exp_cartan
 
 TWO_PI = 2.0 * math.pi
 
@@ -243,3 +243,48 @@ def grid_sum_reference(spec, tau_m, s, max_m, log_terms):
             re_terms.extend(re.tolist())
             im_terms.extend(im.tolist())
     return complex(math.fsum(re_terms), math.fsum(im_terms))
+
+
+def spectrum_reference(rows, tol=1e-9):
+    """The Spectrum canonical classes by a sequential walk.
+
+    Sort the (length, holonomy, multiplicity) tuples, then merge each into
+    the cluster head when both coordinates lie within tol of the head's;
+    the head keeps its coordinates and gains the multiplicity.
+    """
+    merged = []
+    for c in sorted(PrimitiveClass(float(a), float(b), int(m)) for a, b, m in rows):
+        if (
+            merged
+            and abs(c.length - merged[-1].length) <= tol
+            and abs(c.holonomy - merged[-1].holonomy) <= tol
+        ):
+            prev = merged[-1]
+            merged[-1] = prev._replace(multiplicity=prev.multiplicity + c.multiplicity)
+        else:
+            merged.append(c)
+    return tuple(merged)
+
+
+def spectrum_difference_reference(classes1, classes2, tol=1e-9):
+    """(classes1 - classes2, classes2 - classes1) by a sequential drain.
+
+    Each class of the first list takes multiplicity from the classes of the
+    second within tol in both coordinates, in their order; the surviving
+    excess on each side is canonicalized by spectrum_reference.
+    """
+    left = []
+    remaining = [list(c) for c in classes2]
+    for c in classes1:
+        want = c[2]
+        for r in remaining:
+            if want == 0:
+                break
+            if r[2] > 0 and abs(c[0] - r[0]) <= tol and abs(c[1] - r[1]) <= tol:
+                take = min(want, r[2])
+                r[2] -= take
+                want -= take
+        if want > 0:
+            left.append((c[0], c[1], want))
+    right = [tuple(r) for r in remaining if r[2] > 0]
+    return spectrum_reference(left, tol), spectrum_reference(right, tol)

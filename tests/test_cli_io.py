@@ -218,6 +218,31 @@ def test_zeros_total_multiplicity_past_int64_ends_in_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
 
 
+@pytest.mark.parametrize("command", ["zeta", "psi"])
+def test_evaluate_multiplicity_past_int64_is_domain_error(command, tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("length,holonomy,multiplicity\n2.0,0.5,9223372036854775808\n")
+    assert run_cli([command, str(path), "--s", "3+0i"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+
+
+def test_compare_cancelling_multiplicities_past_int64_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("length,holonomy,multiplicity\n" + "2.0,0.5,4611686018427387904\n" * 2)
+    assert run_cli(["compare", str(path), str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+
+
+@pytest.mark.parametrize("command", ["zeros", "recover"])
+def test_window_past_the_float_range_is_domain_error(command, tmp_path, capsys):
+    # im_bound * length overflows to inf, so the window has no integer n-range
+    path = tmp_path / "far.csv"
+    path.write_text("length,holonomy,multiplicity\n1e308,0.5,1\n")
+    assert run_cli([command, str(path), "--imbound", "10"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "domain_error" and "1e+308" in err["message"]
+
+
 @pytest.mark.parametrize("field", ["length", "holonomy"])
 def test_recover_integer_too_large_for_a_float(field, tmp_path, capsys):
     row = {"length": "2", "holonomy": "1", "multiplicity": "1"}

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhspec import (
@@ -14,6 +14,7 @@ from lhspec import (
     NotInGroup,
     NotLoxodromic,
     PrimitiveClass,
+    RealMultiset,
     Spectrum,
     classify,
     exp_cartan,
@@ -25,7 +26,15 @@ from lhspec import (
     spectrum_difference,
 )
 
-from helpers import TWO_PI, normal_form, rand_conjugator, rand_rotation
+from helpers import (
+    TWO_PI,
+    expected_ratio_pairs,
+    normal_form,
+    rand_conjugator,
+    rand_rotation,
+    spectrum_difference_reference,
+    spectrum_reference,
+)
 
 lengths = st.floats(min_value=0.5, max_value=5.0)
 angles = st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True)
@@ -206,3 +215,101 @@ def test_spectrum_difference_cancels_shared_classes():
     assert d2.classes == (PrimitiveClass(3.0, 0.2, 2),)
     e1, e2 = spectrum_difference(s1, s1)
     assert not e1 and not e2
+
+
+def test_spectrum_total_multiplicity_bound():
+    # counts are int64: a total multiplicity of 2**63 is refused on load
+    with pytest.raises(DomainError):
+        Spectrum([(1.0, 0.5, 2**62), (1.0, 0.7, 2**62)])
+    with pytest.raises(DomainError):
+        Spectrum([(1.0, 0.5, 2**63)])
+    assert Spectrum([(1.0, 0.5, 2**62), (1.0, 0.7, 2**62 - 1)]).total() == 2**63 - 1
+
+
+@pytest.mark.parametrize("tol", [-1e-9, math.nan])
+def test_spectrum_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError):
+        Spectrum([(1.0, 0.5, 1)], tol=tol)
+
+
+# rows on a grid spaced around tol: chains of near neighbours that span
+# more than tol, heads within tol of a non-adjacent head, and the signed
+# zero and pi holonomies
+HOLONOMY_BASES = (0.0, -0.0, math.pi, 1.0, TWO_PI - 1e-2)
+SPACINGS = (0.45, 0.9, 1.0, 1.6)
+
+
+@st.composite
+def grid_rows(draw, tol):
+    unit = tol or 1e-9
+    step_a, step_b = draw(st.sampled_from(SPACINGS)), draw(st.sampled_from(SPACINGS))
+    base_a = draw(st.sampled_from((0.5, 1.0, 2.5)))
+    cell = st.tuples(
+        st.integers(0, 5), st.sampled_from(HOLONOMY_BASES), st.integers(0, 5), st.integers(1, 4)
+    )
+    rows = []
+    for i, base_b, j, m in draw(st.lists(cell, max_size=14)):
+        b = base_b + j * step_b * unit if j else base_b  # j = 0 keeps -0.0
+        if b >= TWO_PI:
+            b = base_b
+        rows.append((base_a + i * step_a * unit, b, m))
+    return rows
+
+
+@st.composite
+def tol_and_rows(draw, sides=1):
+    tol = draw(st.sampled_from((0.0, 1e-9, 1e-3)))
+    return (tol, *(draw(grid_rows(tol)) for _ in range(sides)))
+
+
+# three heads where the third lies within tol of the first but not of the
+# second, so that only the walk keeps it apart
+APART = [(1.0005, 0.502, 1), (1.0, 0.5, 1), (1.001, 0.5, 1)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(tol_and_rows(sides=2))
+@example((0.0, [(1.0, -0.0, 2), (1.0, 0.0, 1)], []))  # the larger count first
+@example((1e-3, APART, APART[1:]))
+@example((1e-3, [(1.0, 0.5, 1), (1.0, 0.5009, 1), (1.0005, 0.4995, 1)], []))  # head of a run
+def test_spectrum_canonical_form_matches_sequential_walk(case):
+    tol, rows, other = case
+    spec, ref = Spectrum(rows, tol), spectrum_reference(rows, tol)
+    assert repr(spec.classes) == repr(ref)
+    assert repr(Spectrum(rows[::-1], tol).classes) == repr(spectrum_reference(rows[::-1], tol))
+    assert repr(spec) == f"Spectrum({list(ref)!r})"
+    assert repr(list(spec)) == repr(list(ref))
+    assert len(spec) == len(ref) and bool(spec) == bool(ref)
+    assert spec.total() == sum(c.multiplicity for c in ref)
+    spec2 = Spectrum(other, tol)
+    assert (spec == spec2) == (ref == spectrum_reference(other, tol))
+    assert Spectrum(rows[::-1], tol) == spec
+    assert hash(Spectrum(rows[::-1], tol)) == hash(spec) == hash(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tol_and_rows(sides=2))
+@example((1e-3, APART, []))  # cancelling the middle head merges the outer two
+def test_spectrum_difference_matches_sequential_drain(case):
+    tol, rows1, rows2 = case
+    s1, s2 = Spectrum(rows1, tol), Spectrum(rows1[: len(rows1) // 2] + rows2, tol)
+    for a, b in ((s1, s2), (s2, s1), (s1, s1)):
+        got = spectrum_difference(a, b, tol)
+        ref = spectrum_difference_reference(a.classes, b.classes, tol)
+        assert repr(tuple(d.classes for d in got)) == repr(ref)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tol_and_rows())
+def test_spectrum_lengths_and_ratios(case):
+    tol, rows = case
+    spec = Spectrum(rows, tol)
+    assert spec.lengths() == RealMultiset([(c.length, c.multiplicity) for c in spec], 1e-9)
+    assert spec.ratios(tol) == RealMultiset(expected_ratio_pairs(spec), tol)
+
+
+def test_spectrum_ratios_double_zero_holonomy():
+    spec = Spectrum([(2.0, 0.0, 3), (1.0, 5.0, 1), (4.0, math.pi, 2)])
+    assert list(spec.ratios()) == [(0.0, 6), (math.pi / 4.0, 2), (TWO_PI - 5.0, 1)]
+    with pytest.raises(DomainError):  # the doubled total reaches 2**63
+        Spectrum([(1.0, 0.0, 2**62)]).ratios()
