@@ -4,8 +4,9 @@ File formats
 ------------
 CSV: header exactly ``length,holonomy,multiplicity`` followed by one record
 per line.  JSON: an array of objects carrying those same three keys.  On
-load, holonomies outside [0, 2*pi) are reduced mod 2*pi with a warning, and
-duplicate (length, holonomy) records merge by multiplicity addition.
+load, finite holonomies outside [0, 2*pi) are reduced mod 2*pi with a
+warning, and duplicate (length, holonomy) records merge by multiplicity
+addition.
 
 All real numbers are printed with 17 significant digits so that parsing the
 output reproduces the exact doubles.  Complex numbers are ``RE+IMi`` literals
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import lie_so31
 from .errors import DomainError, ParseError, SpectralError
-from .geodesic import PrimitiveClass, Spectrum, classify
+from .geodesic import PrimitiveClass, Spectrum, _validate, classify
 from .multisets import RealMultiset
 from .recovery import (
     RecoveryReport,
@@ -122,13 +123,12 @@ def format_complex(z: complex) -> str:
 # spectrum files
 
 
-def _normalize_holonomy(h: float, where: str) -> float:
-    if 0.0 <= h < TWO_PI:
+def _reduce_holonomy(h: float) -> float:
+    if 0.0 <= h < TWO_PI or not math.isfinite(h):  # a non-finite one fails _validate
         return h
     reduced = h % TWO_PI
     if reduced < 0 or reduced >= TWO_PI:  # fmod edge: h % 2pi can round to 2pi
         reduced = 0.0
-    warnings.warn(f"{where}: holonomy {h!r} reduced mod 2*pi to {reduced!r}", stacklevel=3)
     return reduced
 
 
@@ -151,11 +151,11 @@ def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ParseError(f"{where}: field out of the float range ({exc})") from exc
     m = _integer(mult, where)
-    if not (length > 0):
-        raise DomainError(f"{where}: length must be positive, got {length!r}")
-    if m < 1:
-        raise DomainError(f"{where}: multiplicity must be >= 1, got {m!r}")
-    return PrimitiveClass(length, _normalize_holonomy(holonomy, where), m)
+    cls = _validate(PrimitiveClass(length, _reduce_holonomy(holonomy), m), where)
+    if cls.holonomy != holonomy:  # only a row that is kept warns
+        msg = f"{where}: holonomy {holonomy!r} reduced mod 2*pi to {cls.holonomy!r}"
+        warnings.warn(msg, stacklevel=2)
+    return cls
 
 
 def parse_spectrum(text: str, format: str = "csv") -> Spectrum:
@@ -181,7 +181,7 @@ def _parse_csv(text: str) -> Spectrum:
         if len(parts) != 3:
             raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", line=no)
         records.append(_record(parts[0], parts[1], parts[2], f"line {no}"))
-    return Spectrum(records)
+    return Spectrum._from_rows(records)
 
 
 def _load_json(text: str, what: str):
@@ -206,7 +206,7 @@ def _parse_json(text: str) -> Spectrum:
         if missing:
             raise ParseError(f"{where}: missing keys {sorted(missing)}")
         records.append(_record(row["length"], row["holonomy"], row["multiplicity"], where))
-    return Spectrum(records)
+    return Spectrum._from_rows(records)
 
 
 def serialize_spectrum(spec: Spectrum, format: str = "csv") -> str:
@@ -395,12 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spectrum_args=(), want_s=False, want_window=False, want_tol=False):
+    def common(p, spectrum_args=(), want_s=False, want_tau=True, want_window=False, want_tol=False):
         for name, help_text in spectrum_args:
             p.add_argument(name, help=help_text)
         if want_s:
             p.add_argument("--s", required=True, help="evaluation point, RE+IMi literal")
-        p.add_argument("--tau", type=int, default=0, help="twist index m (default 0)")
+        if want_tau:
+            p.add_argument("--tau", type=int, default=0, help="twist index m (default 0)")
         p.add_argument("--maxm", type=int, default=30, help="lattice truncation (default 30)")
         if want_window:
             p.add_argument(
@@ -435,7 +436,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_zeros)
 
     p = sub.add_parser("recover", help="peel lengths and ratios back out of zero data")
-    common(p, [("input", "spectrum file or zero-line JSON file")], want_window=True, want_tol=True)
+    common(
+        p,
+        [("input", "spectrum file or zero-line JSON file")],
+        want_tau=False,
+        want_window=True,
+        want_tol=True,
+    )
     p.add_argument(
         "--kind",
         choices=("spectrum", "zeros"),

@@ -50,15 +50,24 @@ class ClassInvariant(NamedTuple):
         return self.holonomy / self.length
 
 
-def _validate(cls: PrimitiveClass) -> PrimitiveClass:
+def _validate(cls: PrimitiveClass, where: str = "") -> PrimitiveClass:
+    # the one rule for a class row; ``where`` locates it in a file
     length, holonomy, mult = float(cls[0]), float(cls[1]), int(cls[2])
+    at = f"{where}: " if where else ""
     if not (math.isfinite(length) and length > 0):
-        raise DomainError(f"class length must be positive, got {length!r}")
+        raise DomainError(f"{at}class length must be positive, got {length!r}")
     if not (0.0 <= holonomy < TWO_PI):
-        raise DomainError(f"holonomy must lie in [0, 2*pi), got {holonomy!r}")
+        raise DomainError(f"{at}holonomy must lie in [0, 2*pi), got {holonomy!r}")
     if mult < 1:
-        raise DomainError(f"multiplicity must be a positive integer, got {mult!r}")
+        raise DomainError(f"{at}multiplicity must be a positive integer, got {mult!r}")
     return PrimitiveClass(length, holonomy, mult)
+
+
+def _columns(rows: list[PrimitiveClass]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # the length, holonomy and count columns of validated rows
+    lengths, holonomies, mults = zip(*rows) if rows else ((), (), ())
+    cols = (np.array(lengths, dtype=np.float64), np.array(holonomies, dtype=np.float64))
+    return (*cols, _count_array(mults))
 
 
 class Spectrum(_Multiset):
@@ -69,17 +78,19 @@ class Spectrum(_Multiset):
     first entry in canonical (length, holonomy) order, so the stored form
     does not depend on insertion order.  Stored as sorted ``_lengths`` and
     ``_holonomies`` beside the counts, from which ``classes`` is derived;
-    raises ValueError on a negative or NaN tolerance, and DomainError when
-    the total multiplicity reaches 2**63.
+    raises ValueError on a negative or non-finite tolerance, and DomainError
+    when the total multiplicity reaches 2**63.
     """
 
     __slots__ = ("_lengths", "_holonomies")
 
     def __init__(self, classes: Iterable = (), tol: float = TAU_SPEC):
-        rows = [_validate(PrimitiveClass(*c)) for c in classes]
-        lengths, holonomies, mults = zip(*rows) if rows else ((), (), ())
-        cols = (np.array(lengths, dtype=np.float64), np.array(holonomies, dtype=np.float64))
-        self._build(*cols, _count_array(mults), tol=tol)
+        self._build(*_columns([_validate(PrimitiveClass(*c)) for c in classes]), tol=tol)
+
+    @classmethod
+    def _from_rows(cls, rows: list[PrimitiveClass], tol: float = TAU_SPEC) -> "Spectrum":
+        """The spectrum of rows that ``_validate`` returned, without checking them again."""
+        return cls._from_arrays(*_columns(rows), tol=tol)
 
     @staticmethod
     def _order(lengths: np.ndarray, holonomies: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ Its total multiplicity stays below 2**63 so that no count sum can wrap.
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -54,6 +55,11 @@ def _cluster(
     return np.array(heads, dtype=np.intp), np.array(sums, dtype=np.int64)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:  # a NaN passes every match, inf merges every entry
+        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
+
+
 def _count_array(counts) -> np.ndarray:
     """Integer multiplicities as int64; DomainError for one that reaches 2**63."""
     try:
@@ -67,8 +73,7 @@ def _canonical(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Rows of float64 columns with nonnegative int64 counts, put in ``order``
     and clustered within tol of their cluster head in every column."""
-    if not tol >= 0:
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tol(tol)
     # the int64 sum cannot wrap while max * size stays below the limit
     if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
         if sum(counts.tolist()) >= COUNT_LIMIT:
@@ -167,8 +172,9 @@ class _Multiset:
 class RealMultiset(_Multiset):
     """Immutable multiset of real numbers with integer multiplicities.
 
-    Raises ValueError on a negative multiplicity or tolerance, and
-    DomainError when the total multiplicity reaches 2**63.
+    Raises ValueError on a negative multiplicity, on a tolerance that is
+    negative or not finite, and DomainError when the total multiplicity
+    reaches 2**63.
     """
 
     __slots__ = ("_values",)
@@ -199,11 +205,6 @@ class RealMultiset(_Multiset):
         """Expand to a sorted list with repetition."""
         return np.repeat(self._values, self._counts).tolist()
 
-    def restrict(self, bound: float) -> "RealMultiset":
-        """Entries with absolute value <= bound."""
-        keep = np.abs(self._values) <= bound
-        return RealMultiset._trusted(self._values[keep], self._counts[keep])
-
     def min_positive(self, floor: float = 0.0) -> tuple[float, int] | None:
         """Smallest entry strictly greater than floor, with its multiplicity."""
         i = int(np.searchsorted(self._values, floor, side="right"))
@@ -216,14 +217,6 @@ class RealMultiset(_Multiset):
         lo = np.searchsorted(self._values, value - tol, side="left")
         hi = np.searchsorted(self._values, value + tol, side="right")
         return int(self._counts[lo:hi].sum())
-
-    def contains(self, pairs: Iterable[tuple[float, int]], tol: float) -> bool:
-        """Whether every (value, mult) pair can be subtracted without underflow."""
-        try:
-            self.subtract(pairs, tol)
-        except UnderflowError:
-            return False
-        return True
 
     def subtract(
         self,
@@ -302,18 +295,14 @@ class RealMultiset(_Multiset):
                 )
         return RealMultiset(((v, m) for v, m in avail if m > 0), tol=0.0)
 
-    def add(self, pairs: Iterable[tuple[float, int]], tol: float = TAU_ZERO) -> "RealMultiset":
-        """Union with additional (value, mult) pairs."""
-        return RealMultiset(list(self.entries) + list(pairs), tol)
-
 
 class ComplexMultiset(_Multiset):
     """Immutable multiset of complex numbers, canonically ordered by (re, im).
 
     Values with equal (re, im) keep their insertion order, so the first
     inserted of 0.0 and -0.0 represents a cluster.  Raises ValueError on a
-    negative multiplicity or tolerance, and DomainError when the total
-    multiplicity reaches 2**63.
+    negative multiplicity, on a tolerance that is negative or not finite, and
+    DomainError when the total multiplicity reaches 2**63.
     """
 
     __slots__ = ("_re", "_im")
@@ -392,6 +381,5 @@ def match_multisets(a: RealMultiset, b: RealMultiset, tol: float) -> MatchResult
 
 def multiset_equal(a: RealMultiset, b: RealMultiset, tol: float) -> bool:
     """True iff a multiplicity-respecting bijection pairs a with b within tol."""
-    if not tol >= 0:  # also rejects NaN, which would make every comparison pass
-        raise ValueError(f"tolerance must be nonnegative, got {tol!r}")
+    _check_tol(tol)
     return match_multisets(a, b, tol).equal

@@ -6,12 +6,12 @@ the triple product over k in {-m..m}, classes p, and semilattice points
 
     1 - exp(-X),   X = i*k*b(p) + (m1+m2)*a(p) + i*(m1-m2)*b(p) + s*a(p),
 
-each lattice point entering with exponent 1.  Products are evaluated as
-exact (correctly rounded) sums of log-factors with a single final
-exponential, so results are deterministic and do not underflow for deep
-truncations.  The full product converges for Re(s) > 2; the truncated one
-is defined wherever no factor vanishes, with a ConvergenceWarning outside
-the half-plane.
+each lattice point entering with exponent 1.  All factors are evaluated on
+one numpy grid over (class, k, m1, m2), and products as exact (correctly
+rounded) sums of log-factors with a single final exponential, so results
+are deterministic and do not underflow for deep truncations.  The full
+product converges for Re(s) > 2; the truncated one is defined wherever no
+factor vanishes, with a ConvergenceWarning outside the half-plane.
 """
 
 from __future__ import annotations
@@ -91,20 +91,6 @@ def euler_factor(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> c
     return _one_minus_exp_neg(x.real, x.imag)
 
 
-def _factor_grids(a: float, b: float, s: complex, tau_m: int, max_m: int):
-    # (k, grid of all local factors over the (m1, m2) square) for each k;
-    # the k-independent parts are computed once per class
-    m = np.arange(max_m + 1, dtype=float)
-    m1, m2 = m[:, None], m[None, :]
-    x_re = (m1 + m2) * a + s.real * a
-    damp = np.exp(-x_re)
-    re_head = -np.expm1(-x_re)
-    im_lattice = (m1 - m2) * b
-    for k in range(-tau_m, tau_m + 1):
-        x_im = k * b + im_lattice + s.imag * a
-        yield k, (re_head + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (damp * np.sin(x_im))
-
-
 def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
     if s.real <= 2.0 * rho0():
         warnings.warn(
@@ -135,7 +121,9 @@ def _exact_sum(x: np.ndarray) -> float:
     bincount without rounding, the buckets add up to one Python int, and int
     true division rounds it once.  Non-finite or huge terms, 2**26 terms or
     more, and an exact-zero total (whose sign fsum decides) go to fsum.
+    The terms of an array of any shape are taken in C order.
     """
+    x = x.ravel()
     if x.size >= _MAX_TERMS or not np.abs(x).max(initial=0.0) < _BIG:  # also NaN
         return math.fsum(x.tolist())
     q, exp = np.frexp(x)
@@ -156,39 +144,28 @@ def _exact_sum(x: np.ndarray) -> float:
     return total / (1 << (_EXP_OFFSET + 53))
 
 
-def _grid_sum(spec: Spectrum, tau, s: complex, tr, term) -> complex:
-    # exact sum of term(a, mult, grid) -> (real parts, imaginary parts) over
-    # every (class, k) factor grid; called from the public entry points
+def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
+    # every local factor on one (class, k, m1, m2) grid; raises FactorZero at
+    # the first zero in that order.  Called from the public entry points
     s = complex(s)
     tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
     _warn_halfplane(s, stacklevel=4)
-    re_parts: list[np.ndarray] = []
-    im_parts: list[np.ndarray] = []
-    classes = zip(spec._lengths.tolist(), spec._holonomies.tolist(), spec._counts.tolist())
-    for a, b, mult in classes:
-        for k, grid in _factor_grids(a, b, s, tau_m, max_m):
-            if not grid.all():
-                m1, m2 = (int(v) for v in np.argwhere(grid == 0)[0])
-                raise FactorZero(
-                    f"local factor vanishes at s={s!r} for k={k}, "
-                    f"(m1, m2)=({m1}, {m2}), class (a={a!r}, b={b!r})"
-                )
-            re, im = term(a, mult, grid)
-            re_parts.append(re)
-            im_parts.append(im)
-    if not re_parts:
-        return 0j
-    return complex(_exact_sum(np.concatenate(re_parts)), _exact_sum(np.concatenate(im_parts)))
-
-
-def _log_term(a: float, mult: int, grid: np.ndarray) -> tuple:
-    logs = np.log(grid).ravel()
-    return mult * logs.real, mult * logs.imag
-
-
-def _log_derivative_term(a: float, mult: int, grid: np.ndarray) -> tuple:
-    terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
-    return terms.real, terms.imag
+    a = spec._lengths[:, None, None, None]
+    b = spec._holonomies[:, None, None, None]
+    k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None, None]
+    m = np.arange(max_m + 1, dtype=float)
+    m1, m2 = m[:, None], m[None, :]
+    x_re = (m1 + m2) * a + s.real * a
+    x_im = k * b + (m1 - m2) * b + s.imag * a
+    damp = np.exp(-x_re)
+    grid = (-np.expm1(-x_re) + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (damp * np.sin(x_im))
+    if not grid.all():
+        c, j, m1, m2 = np.argwhere(grid == 0)[0].tolist()
+        raise FactorZero(
+            f"local factor vanishes at s={s!r} for k={j - tau_m}, (m1, m2)=({m1}, {m2}), "
+            f"class (a={spec._lengths.item(c)!r}, b={spec._holonomies.item(c)!r})"
+        )
+    return grid
 
 
 def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
@@ -197,7 +174,9 @@ def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     Evaluated as exp of the exact sum of multiplicity-weighted
     log-factors.  Raises FactorZero if s is a zero of some local factor.
     """
-    return complex(np.exp(_grid_sum(spec, tau, s, tr, _log_term)))
+    logs = np.log(_factor_grid(spec, tau, s, tr))
+    mult = spec._counts[:, None, None, None]
+    return complex(np.exp(complex(_exact_sum(mult * logs.real), _exact_sum(mult * logs.imag))))
 
 
 def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
@@ -206,7 +185,12 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     Every local factor 1 - exp(-X) contributes a(p)*(1/f - 1) with f the
     factor value, since exp(-X) = 1 - f and dX/ds = a(p).
     """
-    return _grid_sum(spec, tau, s, tr, _log_derivative_term)
+    # in place, so that one grid is held, with the operands of (mult * a) * (1.0 / f - 1.0)
+    terms = _factor_grid(spec, tau, s, tr)
+    np.divide(1.0, terms, out=terms)
+    terms -= 1.0
+    np.multiply((spec._counts * spec._lengths)[:, None, None, None], terms, out=terms)
+    return complex(_exact_sum(terms.real), _exact_sum(terms.imag))
 
 
 def zeta_ratio(spec1: Spectrum, spec2: Spectrum, tau, s: complex, tr) -> complex:

@@ -191,6 +191,44 @@ def test_cli_tol_only_where_read(command, capsys):
     capsys.readouterr()
 
 
+def test_cli_recover_has_no_tau(capsys):
+    # recover always peels the tau = 0 and tau = 1 zero lines, so --tau is no option
+    assert run_cli(["recover", str(DATA / "small.csv"), "--tau", "5"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "length, holonomy, rule",
+    [
+        ("inf", "0.5", "class length must be positive, got inf"),
+        ("2", "nan", "holonomy must lie in [0, 2*pi), got nan"),
+        ("2", "inf", "holonomy must lie in [0, 2*pi), got inf"),
+        ("2", "-inf", "holonomy must lie in [0, 2*pi), got -inf"),
+        ("-1", "7", "class length must be positive, got -1.0"),
+    ],
+    ids=["length_inf", "holonomy_nan", "holonomy_inf", "holonomy_minus_inf", "reducible_holonomy"],
+)
+def test_bad_spectrum_row_is_located_domain_error(fmt, length, holonomy, rule, tmp_path, capsys):
+    if fmt == "csv":
+        path, where = tmp_path / "bad.csv", "line 3"
+        path.write_text(f"length,holonomy,multiplicity\n1,0.5,1\n{length},{holonomy},1\n")
+    else:
+        path, where = tmp_path / "bad.json", "entry 1"
+        literal = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+        row = [literal.get(v, v) for v in (length, holonomy)]
+        path.write_text(
+            '[{"length": 1, "holonomy": 0.5, "multiplicity": 1}, '
+            f'{{"length": {row[0]}, "holonomy": {row[1]}, "multiplicity": 1}}]'
+        )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["zeta", str(path), "--s", "3+0i"])
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (code, err["code"], err["message"]) == (1, "domain_error", f"{where}: {rule}")
+    assert not caught
+
+
 @pytest.mark.parametrize(
     "rows",
     [

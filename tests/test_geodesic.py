@@ -226,7 +226,7 @@ def test_spectrum_total_multiplicity_bound():
     assert Spectrum([(1.0, 0.5, 2**62), (1.0, 0.7, 2**62 - 1)]).total() == 2**63 - 1
 
 
-@pytest.mark.parametrize("tol", [-1e-9, math.nan])
+@pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf])
 def test_spectrum_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError):
         Spectrum([(1.0, 0.5, 1)], tol=tol)

@@ -335,7 +335,13 @@ points = st.sampled_from([0j, -1 + 0j, 2.5 + 0j, 2.05 + 0.5j]) | st.builds(
 )
 
 
+# FactorZero names the first zero in (class, k, m1, m2) order: a zero of the
+# second class only, the k = -1 zero before the k = 1 one, and a first
+# class vanishing at k = 0 only while the second vanishes at every k
 @given(class_rows, st.integers(0, 2), points, st.integers(0, 8) | st.just(30))
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 0, -1 + 0j, 2)
+@example([(1.0, 0.5, 1)], 1, -1 + 0j, 2)
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 1, -2 + 0j, 2)
 @settings(max_examples=150, deadline=None)
 def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
     spec = Spectrum(rows)
