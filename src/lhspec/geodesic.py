@@ -58,6 +58,8 @@ def _validate(cls: PrimitiveClass, where: str = "") -> PrimitiveClass:
         raise DomainError(f"{at}class length must be positive, got {length!r}")
     if not (0.0 <= holonomy < TWO_PI):
         raise DomainError(f"{at}holonomy must lie in [0, 2*pi), got {holonomy!r}")
+    if mult != cls[2]:  # int() truncated a fraction
+        raise DomainError(f"{at}multiplicity must be a positive integer, got {cls[2]!r}")
     if mult < 1:
         raise DomainError(f"{at}multiplicity must be a positive integer, got {mult!r}")
     return PrimitiveClass(length, holonomy, mult)

@@ -218,6 +218,13 @@ class RealMultiset(_Multiset):
         hi = np.searchsorted(self._values, value + tol, side="right")
         return int(self._counts[lo:hi].sum())
 
+    def counts_near(self, values: np.ndarray, tol: float) -> np.ndarray:
+        """``count_near`` of each of an array of values, in one pass."""
+        cum = np.concatenate(([0], np.cumsum(self._counts)))
+        lo = np.searchsorted(self._values, values - tol, side="left")
+        hi = np.searchsorted(self._values, values + tol, side="right")
+        return cum[hi] - cum[lo]
+
     def subtract(
         self,
         pairs: Iterable[tuple[float, int]],
@@ -229,57 +236,67 @@ class RealMultiset(_Multiset):
         Multiple stored entries inside the tol window are drained in order
         of proximity.  With ``partial=True`` a shortfall is forgiven (used
         for points sitting on the window boundary); otherwise it raises
-        UnderflowError.
+        UnderflowError.  A want that is negative or not an integer raises
+        ValueError.
         """
-        pairs = list(pairs)
+        pairs = [(float(v), m) for v, m in pairs]
+        for v, m in pairs:
+            try:
+                whole = int(m) == m
+            except (OverflowError, ValueError):  # inf, NaN
+                whole = False
+            if not whole or m < 0:
+                raise ValueError(f"cannot remove {m!r} copies of {v!r}: want a nonnegative integer")
         values = np.array([v for v, _ in pairs], dtype=np.float64)
-        return self._subtract(values, [m for _, m in pairs], tol, partial, pairs)
+        wants = [int(m) for _, m in pairs]
+        return self._subtract(values, wants, tol, np.full(len(pairs), bool(partial)))
 
-    def _subtract(self, values: np.ndarray, wants, tol: float, partial: bool, pairs=None):
-        """``subtract`` of the pairs zip(values, wants), given as arrays.
+    def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray):
+        """``subtract`` of the pairs zip(values, wants), given as arrays, in one pass.
 
-        All pairs are matched at once when every tol window holds at most one
-        entry; then an entry loses the sum of the wants that hit it.  Windows
-        holding several entries, and a shortfall to report, take the exact
-        sequential walk, which visits ``pairs`` (default: rebuilt from the
-        arrays) in order.
+        ``partial`` forgives the shortfall of the pairs it marks.  All pairs
+        are matched at once when every tol window holds at most one entry;
+        then an entry loses the sum of the wants that hit it, and only the
+        unmarked pairs are checked for a shortfall.  Windows holding several
+        entries, and a shortfall to report, take the exact sequential walk,
+        which visits every unmarked pair before any marked one.
         """
         raw = wants
         try:
             wants = np.asarray(raw, dtype=np.int64)
         except OverflowError:  # beyond any count: only the walk's Python ints hold it
             wants = None
-        if wants is not None:
-            below, above = values - tol, values + tol
-            lo = np.searchsorted(self._values, below, side="left")
-            hi = np.searchsorted(self._values, above, side="right")
-            width = hi - lo
+        # bisect and searchsorted agree on bounds that are not NaN
+        if wants is not None and math.isfinite(tol) and not np.isnan(values).any():
+            lo = np.searchsorted(self._values, values - tol, side="left")
+            hit = np.searchsorted(self._values, values + tol, side="right") - lo
             # the walk takes min(want, left) pair by pair; for nonnegative
-            # wants whose int64 sums cannot wrap, that is one clipped sum.
-            # A NaN bound makes bisect and searchsorted disagree.
+            # wants whose int64 sums cannot wrap, that is one clipped sum
             if (
-                width.max(initial=0) <= 1
+                hit.max(initial=0) <= 1
                 and wants.min(initial=0) >= 0
                 and int(wants.max(initial=0)) * wants.size < COUNT_LIMIT
-                and not (np.isnan(below).any() or np.isnan(above).any())
             ):
-                hit = width == 1
-                need = np.zeros(self._counts.size, dtype=np.int64)
-                np.add.at(need, lo[hit], wants[hit])
-                short = bool(np.any(wants[~hit] > 0)) or bool(np.any(need > self._counts))
-                if partial or not short:
-                    left = np.maximum(self._counts - need, 0)
+                # the wants summed per entry in one row for the strict pairs
+                # and one for the partial ones; a pair that hits no entry
+                # adds to the spare last column of its row
+                n = self._counts.size
+                need = np.zeros(2 * (n + 1), dtype=np.int64)
+                np.add.at(need, np.where(hit, lo, n) + partial * (n + 1), wants)
+                strict, forgiven = need[:n], need[n + 1 : -1]
+                if need[n] == 0 and not (strict > self._counts).any():
+                    left = self._counts - strict - forgiven
                     keep = left > 0
                     return RealMultiset._trusted(self._values[keep], left[keep])
-        if pairs is None:
-            pairs = list(zip(values.tolist(), np.asarray(raw, dtype=object).tolist()))
-        return self._subtract_exact(pairs, tol, partial)
+        wants = np.asarray(raw, dtype=object).tolist()
+        return self._subtract_exact(zip(values.tolist(), wants, partial.tolist()), tol)
 
-    def _subtract_exact(self, pairs, tol: float, partial: bool) -> "RealMultiset":
-        # the sequential rule that the vectorised path reproduces
+    def _subtract_exact(self, pairs, tol: float) -> "RealMultiset":
+        # the sequential rule that the vectorised path reproduces: the
+        # (value, want, partial) triples in order, the strict ones first
         avail = [[v, m] for v, m in self.entries]
         vals = self._values.tolist()
-        for value, want in pairs:
+        for value, want, partial in sorted(pairs, key=lambda p: p[2]):
             lo = bisect.bisect_left(vals, value - tol)
             hi = bisect.bisect_right(vals, value + tol)
             near = sorted(range(lo, hi), key=lambda i: abs(vals[i] - value))

@@ -9,6 +9,14 @@ ratio peeling is a backtracking search over attributions.  The search commits
 only when exactly one attribution extends to a complete, consistent peeling;
 genuinely undecidable windows raise AmbiguousTrace instead of guessing.
 
+At each search step every candidate attribution is probed before its trace
+is built: a few interior trace points, computed by the trace's own
+expression (-b*k - 2*n*pi)/a, must each be present with the candidate's
+multiplicity.  All candidates' points are tested in one pass, and only the
+survivors' traces are subtracted.  An interior point missing from the data
+would make that subtraction underflow, so the probe never rejects a
+candidate the subtraction would accept.
+
 Everything works on finite windows: a peeled class must show its first two
 trace points inside the window (IncompleteWindow otherwise), and subtraction
 shortfalls surface as NegativeMultiplicity rather than silent mis-recovery.
@@ -38,7 +46,7 @@ from .multisets import (
     match_multisets,
     multiset_equal,
 )
-from .zeros import ZeroWindow, _check_window, _n_range, _trace, strip_k0, subtract_trace, zero_line
+from .zeros import ZeroWindow, _check_window, _n_range, strip_k0, subtract_trace, zero_line
 
 __all__ = [
     "RecoveryReport",
@@ -141,16 +149,6 @@ class _Candidate(NamedTuple):
     nxt: RealMultiset  # the residual with one class copy removed
 
 
-def _probe_points(trace: np.ndarray, im_bound: float, band: float) -> list[float]:
-    # a few discriminating interior points; cheap pre-check before full subtraction
-    interior = np.sort(trace[np.abs(np.abs(trace) - im_bound) > band])
-    n = interior.size
-    if not n:
-        return []
-    picks = [0, n - 1, n // 2] + ([n // 4] if n > 3 else [])
-    return sorted(set(interior[picks].tolist()))
-
-
 def _candidates(
     cur: RealMultiset, avail: list[list], c: float, mult: int, ctx: _SearchCtx
 ) -> list[_Candidate]:
@@ -159,35 +157,63 @@ def _candidates(
     Regular candidate: a known length a with canonical holonomy b = c*a in
     (0, pi].  Degenerate candidate: c is the first positive point 2*pi/a of
     the doubled k = 0 trace left behind by a zero-holonomy class.
+
+    Each candidate is probed before its trace is built: a few of its
+    interior trace points must each find ``reps`` copies within tol in
+    ``cur``.  The points are computed by the trace's own expression
+    (-b*k - 2*pi*n)/a, so they equal trace values bit for bit, and interior
+    means inside the zone ``subtract_trace`` removes strictly; a candidate
+    that fails the probe would therefore underflow there.  All probe points
+    of all candidates are counted in one pass, and only the survivors are
+    subtracted.
     """
-    found = []
-
-    def probe(kind, idx, a, b, ks, reps):
-        trace = _trace(a, b, ks, ctx.w.im_bound)
-        probes = _probe_points(trace, ctx.w.im_bound, ctx.band)
-        if any(cur.count_near(v, ctx.tol) < reps for v in probes):
-            return
-        try:
-            nxt = subtract_trace(cur, a, b, ks, reps, ctx.w, ctx.tol)
-        except UnderflowError:
-            return
-        per = mult - nxt.count_near(c, 0.0)
-        if per > 0:
-            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace.size, nxt))
-
+    im_bound, lim = ctx.w.im_bound, ctx.w.im_bound - ctx.band
+    pending = []  # (kind, idx, a, b, ks, reps, trace points) per candidate
+    points: list[float] = []
+    owner: list[int] = []  # the pending candidate of each probe point
     for idx, (a, rem) in enumerate(avail):
         if rem <= 0:
             continue
         b1 = c * a
         slack = ctx.tol * (1.0 + a)
+        tries = []
         if 0.0 < b1 <= PI + slack:
             b_sub = min(b1, TWO_PI - b1)
-            if (TWO_PI - b_sub) / a > ctx.w.im_bound + ctx.band:
+            if (TWO_PI - b_sub) / a > im_bound + ctx.band:
                 ctx.window_short = True
                 continue
-            probe("ratio", idx, a, b_sub, (1, -1), 1)
+            tries.append(("ratio", b_sub, (1, -1), 1))
         if abs(b1 - TWO_PI) <= slack:
-            probe("zero", idx, a, 0.0, (0,), 2)
+            tries.append(("zero", 0.0, (0,), 2))
+        for kind, b, ks, reps in tries:
+            size = 0
+            for k in ks:
+                r = _n_range(a, b, k, im_bound)
+                size += len(r)
+                # one step in from each end of the window, far from c,
+                # which every candidate explains by construction
+                for n in (r[1], r[-2]) if len(r) > 2 else r:
+                    v = (-b * k - TWO_PI * n) / a
+                    if abs(v) <= lim:
+                        points.append(v)
+                        owner.append(len(pending))
+            pending.append((kind, idx, a, b, ks, reps, size))
+    if not pending:
+        return []
+    need = np.array([pending[i][5] for i in owner], dtype=np.int64)  # reps per point
+    short = cur.counts_near(np.array(points), ctx.tol) < need
+    failed = {owner[j] for j in np.flatnonzero(short).tolist()}
+    found = []
+    for i, (kind, idx, a, b, ks, reps, size) in enumerate(pending):
+        if i in failed:
+            continue
+        try:
+            nxt = subtract_trace(cur, a, b, ks, reps, ctx.w, ctx.tol)
+        except UnderflowError:
+            continue
+        per = mult - nxt.count_near(c, 0.0)
+        if per > 0:
+            found.append(_Candidate(kind, idx, a, b, ks, reps, per, size, nxt))
     return found
 
 

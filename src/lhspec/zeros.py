@@ -143,25 +143,34 @@ def subtract_trace(
     inclusion of the outermost point differently (the class parameter here
     is typically recovered, an ulp away from the generator's), so the trace
     is padded one step past the window and every point in the edge zone is
-    subtracted when present but forgiven when absent.
+    subtracted when present but forgiven when absent.  Both kinds go in one
+    pass that checks only the interior ones for a shortfall; where the
+    pairs must be walked one by one, every interior pair is walked before
+    any edge pair.
+
+    A value that several progressions share is one pair wanting ``mult``
+    copies per progression, kept at its first occurrence in k-major order.
+    One progression repeats no value unless its window holds about 2**52
+    points, so a single k is never checked; for several, the merge runs only
+    where a sort of the joined progressions shows two equal neighbours,
+    which for k = +1 and -1 needs b within rounding of 0 or pi.
     """
     w = _check_window(w)
     band = tol * max(1.0, w.im_bound)
-    # repeated values merge with summed multiplicity, in order of first occurrence
-    trace, first, seen = np.unique(
-        _trace(a, b, ks, w.im_bound, pad=1), return_index=True, return_counts=True
-    )
-    order = np.argsort(first)
-    values, seen = trace[order], seen[order]
+    values = _trace(a, b, ks, w.im_bound, pad=1)
+    seen = np.ones(values.size, dtype=np.int64)
+    if len(ks) > 1:
+        ordered = np.sort(values)
+        if (ordered[1:] == ordered[:-1]).any():
+            trace, first, seen = np.unique(values, return_index=True, return_counts=True)
+            order = np.argsort(first)
+            values, seen = trace[order], seen[order]
     if abs(mult) * int(seen.max(initial=0)) < COUNT_LIMIT:
         wants = seen * mult
     else:  # past int64: Python ints, which only the exact walk takes
         wants = seen.astype(object) * mult
-    inner = np.abs(values) <= w.im_bound - band
-    out = ms._subtract(values[inner], wants[inner], tol, partial=False)
-    if not inner.all():
-        out = out._subtract(values[~inner], wants[~inner], tol, partial=True)
-    return out
+    edge = np.abs(values) > w.im_bound - band
+    return ms._subtract(values, wants, tol, edge)
 
 
 def strip_k0(zl: RealMultiset, lengths: RealMultiset, w: ZeroWindow) -> RealMultiset:

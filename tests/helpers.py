@@ -6,6 +6,8 @@ import math
 import numpy as np
 
 from lhspec import CartanParams, FactorZero, PrimitiveClass, Spectrum, UnderflowError, exp_cartan
+from lhspec.recovery import _Candidate
+from lhspec.zeros import subtract_trace
 
 TWO_PI = 2.0 * math.pi
 
@@ -127,6 +129,85 @@ def subtract_reference(entries, pairs, tol, partial=False):
                 f"cannot remove {want} more copies of {value!r} (multiset underflow)"
             )
     return tuple((v, m) for v, m in avail if m > 0)
+
+
+def trace_reference(a, b, ks, w, pad=0):
+    """The windowed trace (-b*k - 2*pi*n)/a, k-major with n ascending.
+
+    ``pad`` steps past the window at each end.  The same numpy float
+    arithmetic as the library, so the values agree bit for bit.
+    """
+    parts = []
+    for k in ks:
+        lo = math.ceil((-w.im_bound * a - b * k) / TWO_PI)
+        hi = math.floor((w.im_bound * a - b * k) / TWO_PI)
+        n = np.arange(lo - pad, hi + 1 + pad, dtype=np.float64)
+        parts.append((-b * k - TWO_PI * n) / a)
+    return np.concatenate(parts) + 0.0 if parts else np.empty(0)
+
+
+def subtract_trace_reference(entries, a, b, ks, mult, w, tol):
+    """Trace subtraction by np.unique and two sequential passes, the reference for subtract_trace.
+
+    Repeated trace values merge into one pair at their first occurrence;
+    the interior pairs are walked strictly, then the edge pairs with their
+    shortfall forgiven.  Returns the surviving (value, multiplicity)
+    entries, or raises UnderflowError.
+    """
+    trace, first, seen = np.unique(
+        trace_reference(a, b, ks, w, pad=1), return_index=True, return_counts=True
+    )
+    order = np.argsort(first)
+    pairs = [(v, s * mult) for v, s in zip(trace[order].tolist(), seen[order].tolist())]
+    lim = w.im_bound - tol * max(1.0, w.im_bound)
+    out = subtract_reference(entries, [p for p in pairs if abs(p[0]) <= lim], tol)
+    return subtract_reference(out, [p for p in pairs if abs(p[0]) > lim], tol, partial=True)
+
+
+def _probe_points_reference(trace, im_bound, band):
+    interior = np.sort(trace[np.abs(np.abs(trace) - im_bound) > band])
+    n = interior.size
+    if not n:
+        return []
+    picks = [0, n - 1, n // 2] + ([n // 4] if n > 3 else [])
+    return sorted(set(interior[picks].tolist()))
+
+
+def candidates_reference(cur, avail, c, mult, ctx):
+    """Ratio-peeling candidates with one probe trace per candidate, the reference for _candidates.
+
+    Builds each candidate's unpadded trace, counts a few sorted interior
+    points of it one by one, and subtracts the survivors.
+    """
+    found = []
+
+    def probe(kind, idx, a, b, ks, reps):
+        trace = trace_reference(a, b, ks, ctx.w)
+        probes = _probe_points_reference(trace, ctx.w.im_bound, ctx.band)
+        if any(cur.count_near(v, ctx.tol) < reps for v in probes):
+            return
+        try:
+            nxt = subtract_trace(cur, a, b, ks, reps, ctx.w, ctx.tol)
+        except UnderflowError:
+            return
+        per = mult - nxt.count_near(c, 0.0)
+        if per > 0:
+            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace.size, nxt))
+
+    for idx, (a, rem) in enumerate(avail):
+        if rem <= 0:
+            continue
+        b1 = c * a
+        slack = ctx.tol * (1.0 + a)
+        if 0.0 < b1 <= math.pi + slack:
+            b_sub = min(b1, TWO_PI - b1)
+            if (TWO_PI - b_sub) / a > ctx.w.im_bound + ctx.band:
+                ctx.window_short = True
+                continue
+            probe("ratio", idx, a, b_sub, (1, -1), 1)
+        if abs(b1 - TWO_PI) <= slack:
+            probe("zero", idx, a, 0.0, (0,), 2)
+    return found
 
 
 def match_reference(av, bv, tol):

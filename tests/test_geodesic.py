@@ -157,6 +157,9 @@ def test_spectrum_validation():
         Spectrum([(1.0, TWO_PI, 1)])
     with pytest.raises(DomainError):
         Spectrum([(1.0, 0.5, 0)])
+    # int() would truncate the fraction to a valid-looking multiplicity 1
+    with pytest.raises(DomainError, match="positive integer, got 1.5"):
+        Spectrum([(1.0, 0.5, 1.5)])
 
 
 def test_spectrum_canonical_form():

@@ -80,6 +80,15 @@ def test_subtract_exact_and_underflow():
     assert out.entries == ((1.0, 2),)
 
 
+def test_subtract_rejects_negative_or_fractional_wants():
+    ms = RealMultiset([(1.0, 1)])
+    with pytest.raises(ValueError):  # a negative want would add a copy
+        ms.subtract([(1.0, -1)], 0.0)
+    with pytest.raises(ValueError):  # a fraction would be truncated
+        ms.subtract([(1.0, 0.5)], 0.0)
+    assert ms.subtract([(1.0, 1.0)], 0.0).total() == 0
+
+
 def test_subtract_drains_by_proximity():
     # two stored entries inside the window: the closer one is drained first
     ms = RealMultiset([(1.0, 1), (1.0 + 4e-10, 1)], tol=0.0)

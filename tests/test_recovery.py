@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lhspec import (
     AmbiguousTrace,
@@ -21,7 +23,15 @@ from lhspec import (
     zero_line,
 )
 
-from helpers import TWO_PI, commensurable_spectrum, expected_ratio_pairs, rand_spectrum
+from lhspec.recovery import _candidates, _SearchCtx
+
+from helpers import (
+    TWO_PI,
+    candidates_reference,
+    commensurable_spectrum,
+    expected_ratio_pairs,
+    rand_spectrum,
+)
 
 PI = math.pi
 
@@ -305,3 +315,33 @@ def test_recovery_rejects_bad_tolerance(tol):
         recover_ratios(strip_k0(zero_line(spec, 1, w), lengths, w), lengths, w, tol)
     with pytest.raises(DomainError, match="tolerance"):
         smo_check(spec, spec, 1, w, tol)
+
+
+@given(
+    st.sampled_from([(1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 3.0)]),
+    st.lists(
+        st.one_of(st.sampled_from([0.0, PI]), st.floats(0.1, TWO_PI - 0.1)), min_size=3, max_size=3
+    ),
+    st.lists(st.integers(1, 3), min_size=3, max_size=3),
+    st.floats(0.3, 20.0),
+    st.sampled_from([1e-9, 1e-8]),
+)
+@settings(max_examples=100, deadline=None)
+def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mults, reach, tol):
+    # each peeling state along the path that charges one class copy to the
+    # first candidate: the same candidates as one probe trace per candidate,
+    # and the same window flag, which the smaller windows raise
+    spec = Spectrum(zip(lengths, holonomies, mults))
+    w = ZeroWindow(0, reach * PI / spec.min_length())
+    cur = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
+    avail = [[a, m] for a, m in spec.lengths()]
+    while (mp := cur.min_positive()) is not None:
+        c, mult = mp
+        ctxs = [_SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound)) for _ in range(2)]
+        got = _candidates(cur, avail, c, mult, ctxs[0])
+        assert got == candidates_reference(cur, avail, c, mult, ctxs[1])
+        assert ctxs[0].window_short == ctxs[1].window_short
+        if not got:
+            break
+        cur = got[0].nxt
+        avail[got[0].idx][1] -= 1

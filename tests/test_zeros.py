@@ -23,7 +23,13 @@ from lhspec import (
 )
 from lhspec.zeros import subtract_trace
 
-from helpers import TWO_PI, rand_spectrum, zero_multiset_entries_reference
+from helpers import (
+    TWO_PI,
+    rand_spectrum,
+    subtract_trace_reference,
+    trace_reference,
+    zero_multiset_entries_reference,
+)
 
 
 def brute_zeros(spec, tau_m, w, n_span=2000):
@@ -228,3 +234,51 @@ def test_subtract_trace_forgives_window_edge():
     missing_edge = RealMultiset.from_values(v for v in full if abs(v) < edge)
     out = subtract_trace(missing_edge, a, 0.0, (0,), 1, w)
     assert out.total() == 0
+
+
+# holonomies where the k = +1 and -1 progressions share values (0, pi and
+# their float neighbours) and generic ones; multiplicities past 2**53, where
+# a float sum of wants is inexact, up to 2**62
+special_b = st.sampled_from(
+    [0.0, math.nextafter(0.0, 1.0), math.pi, math.nextafter(math.pi, 0.0)]
+)
+huge_mult = st.sampled_from([2**53 + 1, 2**58 + 3, 2**62])
+
+
+@given(
+    st.floats(0.5, 60.0),
+    st.one_of(special_b, st.floats(0.0, math.pi)),
+    st.sampled_from([(0,), (1, -1)]),
+    st.one_of(st.integers(0, 3), huge_mult),
+    st.floats(3.0, 100.0),
+    st.sampled_from([0.0, 1e-10, 0.05, 0.3, 0.6, 1.2]),
+    st.data(),
+)
+@settings(max_examples=400, deadline=None)
+def test_subtract_trace_matches_unique_two_pass_reference(a, b, ks, mult, span, spacings, data):
+    # the window holds about span/pi points per progression, and tol is a
+    # fraction of their spacing, so from 0.5 on several entries share a
+    # window.  The stored side is the padded trace with each point kept,
+    # short of a copy, over by one, dropped or moved within tol, plus strays.
+    im_bound, tol = span / a, spacings * TWO_PI / a
+    w = ZeroWindow(0, im_bound)
+    trace = trace_reference(a, b, ks, w, pad=1).tolist()
+    moves = data.draw(st.lists(st.integers(0, 5), min_size=len(trace), max_size=len(trace)))
+    stored = []
+    for v, move in zip(trace, moves):
+        if move == 5:
+            v += tol * data.draw(st.floats(-1.0, 1.0))
+        stored.append((v, (mult, mult - 1 if mult else 0, mult + 1, 0, mult, mult)[move]))
+    stray = st.tuples(st.floats(-im_bound, im_bound), st.integers(1, 2))
+    stored += data.draw(st.lists(stray, max_size=4))
+    while sum(m for _, m in stored) >= 2**63:  # the multiset's total bound
+        stored.pop(0)
+    ms = RealMultiset(stored, tol=0.0)
+    try:
+        want = subtract_trace_reference(ms.entries, a, b, ks, mult, w, tol)
+    except UnderflowError as exc:
+        with pytest.raises(UnderflowError) as got:
+            subtract_trace(ms, a, b, ks, mult, w, tol)
+        assert str(got.value) == str(exc)
+    else:
+        assert subtract_trace(ms, a, b, ks, mult, w, tol).entries == want
