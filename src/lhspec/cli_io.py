@@ -31,7 +31,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lie_so31
-from .errors import DomainError, ParseError, SpectralError
+from .errors import DomainError, ParseError, SpectralError, _whole
 from .geodesic import PrimitiveClass, Spectrum, _validate, classify
 from .multisets import RealMultiset
 from .recovery import (
@@ -132,16 +132,6 @@ def _reduce_holonomy(h: float) -> float:
     return reduced
 
 
-def _integer(mult, where: str) -> int:
-    try:
-        m = int(mult)
-        if m != float(mult):
-            raise ValueError
-    except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: multiplicity must be an integer, got {mult!r}") from None
-    return m
-
-
 def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
     try:
         length = float(length)
@@ -150,7 +140,7 @@ def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
         raise ParseError(f"{where}: non-numeric field ({exc})") from exc
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ParseError(f"{where}: field out of the float range ({exc})") from exc
-    m = _integer(mult, where)
+    m = _whole(mult, f"{where}: multiplicity", None, ParseError)
     cls = _validate(PrimitiveClass(length, _reduce_holonomy(holonomy), m), where)
     if cls.holonomy != holonomy:  # only a row that is kept warns
         msg = f"{where}: holonomy {holonomy!r} reduced mod 2*pi to {cls.holonomy!r}"
@@ -280,10 +270,7 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
                 raise ParseError(f"{where}: expected a number or a value object") from None
             if not math.isfinite(value):
                 raise ParseError(f"{where}: value must be finite, got {value!r}")
-            mult = _integer(mult, where)
-            if mult < 0:
-                raise ParseError(f"{where}: multiplicity must be nonnegative, got {mult!r}")
-            pairs.append((value, mult))
+            pairs.append((value, _whole(mult, f"{where}: multiplicity", 0, ParseError)))
         out[key] = RealMultiset(pairs)
     return out
 
@@ -472,12 +459,9 @@ def run_cli(argv: Iterable[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         result = args.func(args)
-    except ParseError as exc:
-        print(dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 2
     except SpectralError as exc:
         print(dumps({"error": {"code": exc.code, "message": str(exc)}}))
-        return 1
+        return 2 if isinstance(exc, ParseError) else 1
     print(dumps(result))
     return 0
 

@@ -2,10 +2,15 @@
 
 Every error carries a stable machine-readable ``code`` so the CLI can
 surface failures as structured JSON.  Library code raises these directly;
-nothing here depends on the rest of the package.
+nothing here depends on the rest of the package.  So the one copy of each
+rule for scalar arguments (whole numbers, lengths, tolerances) lives here too.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+import operator
 
 
 class SpectralError(Exception):
@@ -86,3 +91,33 @@ class ParseError(SpectralError):
 
 class ConvergenceWarning(UserWarning):
     """Evaluation requested outside the guaranteed convergence half-plane."""
+
+
+def _whole(x, what: str, low: int | None = None, error: type[Exception] = DomainError) -> int:
+    """x as an int when it is an int, an integral float or an integer literal and
+    at least ``low``; ``error`` otherwise, so no fraction, NaN or inf is truncated."""
+    try:
+        n = int(x) if isinstance(x, str) else operator.index(x)
+    except TypeError:  # a float is whole when integral, which NaN and inf are not
+        n = int(x) if isinstance(x, numbers.Real) and float(x).is_integer() else None
+    except ValueError:  # a string that is no integer literal
+        n = None
+    if n is None or (low is not None and n < low):
+        kind = {None: "an", 0: "a nonnegative", 1: "a positive"}[low]
+        raise error(f"{what} must be {kind} integer, got {x!r}")
+    return n
+
+
+def _positive(x, what: str) -> float:
+    """x as a positive, finite float; DomainError otherwise."""
+    v = float(x)
+    if not 0.0 < v < math.inf:
+        raise DomainError(f"{what} must be positive, got {x!r}")
+    return v
+
+
+def _check_tol(tol: float, error: type[Exception]) -> float:
+    """tol when it is finite and nonnegative; ``error`` otherwise."""
+    if not 0.0 <= tol < math.inf:  # a NaN passes every match, inf merges every entry
+        raise error(f"tolerance must be finite and nonnegative, got {tol!r}")
+    return tol

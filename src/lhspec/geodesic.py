@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotInGroup, NotLoxodromic
+from .errors import DomainError, NotInGroup, NotLoxodromic, _positive, _whole
 from .lie_so31 import J
 from .multisets import RealMultiset, _count_array, _Multiset
 
@@ -52,17 +52,12 @@ class ClassInvariant(NamedTuple):
 
 def _validate(cls: PrimitiveClass, where: str = "") -> PrimitiveClass:
     # the one rule for a class row; ``where`` locates it in a file
-    length, holonomy, mult = float(cls[0]), float(cls[1]), int(cls[2])
     at = f"{where}: " if where else ""
-    if not (math.isfinite(length) and length > 0):
-        raise DomainError(f"{at}class length must be positive, got {length!r}")
+    length = _positive(cls[0], at + "class length")
+    holonomy = float(cls[1])
     if not (0.0 <= holonomy < TWO_PI):
         raise DomainError(f"{at}holonomy must lie in [0, 2*pi), got {holonomy!r}")
-    if mult != cls[2]:  # int() truncated a fraction
-        raise DomainError(f"{at}multiplicity must be a positive integer, got {cls[2]!r}")
-    if mult < 1:
-        raise DomainError(f"{at}multiplicity must be a positive integer, got {mult!r}")
-    return PrimitiveClass(length, holonomy, mult)
+    return PrimitiveClass(length, holonomy, _whole(cls[2], at + "multiplicity", 1))
 
 
 def _columns(rows: list[PrimitiveClass]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -240,16 +235,10 @@ def classify(g, tol: float = 1e-12) -> tuple[float, float]:
 
 def inverse_class(a: float, b: float) -> tuple[float, float]:
     """Invariants of the inverse class: same length, holonomy 2pi - b mod 2pi."""
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
-    return a, (TWO_PI - b) % TWO_PI
+    return _positive(a, "length"), (TWO_PI - b) % TWO_PI
 
 
 def power_class(a: float, b: float, j: int) -> ClassInvariant:
     """Invariants of the j-th power: boosts add, angles add mod 2pi."""
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
-    if int(j) != j or j < 1:
-        raise DomainError(f"power must be a positive integer, got {j!r}")
-    j = int(j)
+    a, j = _positive(a, "length"), _whole(j, "power", 1)
     return ClassInvariant(j * a, (j * b) % TWO_PI, j)

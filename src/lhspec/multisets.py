@@ -15,12 +15,11 @@ Its total multiplicity stays below 2**63 so that no count sum can wrap.
 from __future__ import annotations
 
 import bisect
-import math
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, UnderflowError
+from .errors import DomainError, UnderflowError, _check_tol, _whole
 
 #: default absolute coincidence tolerance for zero values
 TAU_ZERO = 1e-9
@@ -55,11 +54,6 @@ def _cluster(
     return np.array(heads, dtype=np.intp), np.array(sums, dtype=np.int64)
 
 
-def _check_tol(tol: float) -> None:
-    if not 0.0 <= tol < math.inf:  # a NaN passes every match, inf merges every entry
-        raise ValueError(f"tolerance must be finite and nonnegative, got {tol!r}")
-
-
 def _count_array(counts) -> np.ndarray:
     """Integer multiplicities as int64; DomainError for one that reaches 2**63."""
     try:
@@ -73,7 +67,7 @@ def _canonical(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Rows of float64 columns with nonnegative int64 counts, put in ``order``
     and clustered within tol of their cluster head in every column."""
-    _check_tol(tol)
+    _check_tol(tol, ValueError)
     # the int64 sum cannot wrap while max * size stays below the limit
     if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
         if sum(counts.tolist()) >= COUNT_LIMIT:
@@ -172,15 +166,15 @@ class _Multiset:
 class RealMultiset(_Multiset):
     """Immutable multiset of real numbers with integer multiplicities.
 
-    Raises ValueError on a negative multiplicity, on a tolerance that is
-    negative or not finite, and DomainError when the total multiplicity
-    reaches 2**63.
+    Raises ValueError on a multiplicity that is negative or not an integer,
+    on a tolerance that is negative or not finite, and DomainError when the
+    total multiplicity reaches 2**63.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, pairs: Iterable[tuple[float, int]] = (), tol: float = TAU_ZERO):
-        pairs = [(float(v), int(m)) for v, m in pairs]
+        pairs = [(float(v), _whole(m, "multiplicity", None, ValueError)) for v, m in pairs]
         for v, m in pairs:
             if m < 0:
                 raise ValueError(f"negative multiplicity {m} for value {v}")
@@ -236,19 +230,13 @@ class RealMultiset(_Multiset):
         Multiple stored entries inside the tol window are drained in order
         of proximity.  With ``partial=True`` a shortfall is forgiven (used
         for points sitting on the window boundary); otherwise it raises
-        UnderflowError.  A want that is negative or not an integer raises
-        ValueError.
+        UnderflowError.  A want that is negative or not an integer, and a
+        tolerance that is negative or not finite, raise ValueError.
         """
-        pairs = [(float(v), m) for v, m in pairs]
-        for v, m in pairs:
-            try:
-                whole = int(m) == m
-            except (OverflowError, ValueError):  # inf, NaN
-                whole = False
-            if not whole or m < 0:
-                raise ValueError(f"cannot remove {m!r} copies of {v!r}: want a nonnegative integer")
+        _check_tol(tol, ValueError)
+        pairs = [(float(v), _whole(m, "multiplicity", 0, ValueError)) for v, m in pairs]
         values = np.array([v for v, _ in pairs], dtype=np.float64)
-        wants = [int(m) for _, m in pairs]
+        wants = [m for _, m in pairs]
         return self._subtract(values, wants, tol, np.full(len(pairs), bool(partial)))
 
     def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray):
@@ -267,7 +255,7 @@ class RealMultiset(_Multiset):
         except OverflowError:  # beyond any count: only the walk's Python ints hold it
             wants = None
         # bisect and searchsorted agree on bounds that are not NaN
-        if wants is not None and math.isfinite(tol) and not np.isnan(values).any():
+        if wants is not None and not np.isnan(values).any():
             lo = np.searchsorted(self._values, values - tol, side="left")
             hit = np.searchsorted(self._values, values + tol, side="right") - lo
             # the walk takes min(want, left) pair by pair; for nonnegative
@@ -318,14 +306,15 @@ class ComplexMultiset(_Multiset):
 
     Values with equal (re, im) keep their insertion order, so the first
     inserted of 0.0 and -0.0 represents a cluster.  Raises ValueError on a
-    negative multiplicity, on a tolerance that is negative or not finite, and
-    DomainError when the total multiplicity reaches 2**63.
+    multiplicity that is negative or not an integer, on a tolerance that is
+    negative or not finite, and DomainError when the total multiplicity
+    reaches 2**63.
     """
 
     __slots__ = ("_re", "_im")
 
     def __init__(self, pairs: Iterable[tuple[complex, int]] = (), tol: float = TAU_ZERO):
-        pairs = [(complex(v), int(m)) for v, m in pairs]
+        pairs = [(complex(v), _whole(m, "multiplicity", None, ValueError)) for v, m in pairs]
         negative = [(v, m) for v, m in pairs if m < 0]
         if negative:  # the first in canonical order
             v, m = min(negative, key=lambda p: (p[0].real, p[0].imag))
@@ -398,5 +387,5 @@ def match_multisets(a: RealMultiset, b: RealMultiset, tol: float) -> MatchResult
 
 def multiset_equal(a: RealMultiset, b: RealMultiset, tol: float) -> bool:
     """True iff a multiplicity-respecting bijection pairs a with b within tol."""
-    _check_tol(tol)
+    _check_tol(tol, ValueError)
     return match_multisets(a, b, tol).equal

@@ -24,6 +24,7 @@ shortfalls surface as NegativeMultiplicity rather than silent mis-recovery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -37,6 +38,7 @@ from .errors import (
     NegativeMultiplicity,
     SpectralError,
     UnderflowError,
+    _check_tol,
 )
 from .geodesic import Spectrum, spectrum_difference
 from .multisets import (
@@ -47,6 +49,7 @@ from .multisets import (
     multiset_equal,
 )
 from .zeros import ZeroWindow, _check_window, _n_range, strip_k0, subtract_trace, zero_line
+from .zeta import _index
 
 __all__ = [
     "RecoveryReport",
@@ -59,12 +62,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 PI = math.pi
-
-
-def _check_tol(tol: float) -> float:
-    if not 0.0 <= tol < math.inf:
-        raise DomainError(f"tolerance must be finite and nonnegative, got {tol!r}")
-    return tol
 
 
 def _coerce(z, tol: float) -> RealMultiset:
@@ -81,7 +78,7 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
     checks: removed == mu * trace size away from the window edge).
     """
     w = _check_window(w)
-    cur = _coerce(z, _check_tol(tol))
+    cur = _coerce(z, _check_tol(tol, DomainError))
     band = tol * max(1.0, w.im_bound)
     out: list[tuple[float, int]] = []
     for _ in range(cur.total() + 1):
@@ -133,6 +130,11 @@ class _SearchCtx:
     distinct: list = field(default_factory=list)  # (ratios, audit) per distinct completion
     window_short: bool = False  # some candidate was rejected for window reasons
     stuck_at: float | None = None  # smallest value no candidate explained
+
+    def stuck(self, c: float) -> None:
+        """Keep the first dead end the search meets, at the value c."""
+        if self.stuck_at is None:
+            self.stuck_at = c
 
 
 class _Candidate(NamedTuple):
@@ -265,21 +267,17 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
         if last is not None and abs(last[0] - c) <= ctx.tol:
             cands = [cd for cd in cands if cd.idx >= last[1]]
         if not cands:
-            if ctx.stuck_at is None:
-                ctx.stuck_at = c
-            return
+            return ctx.stuck(c)
         if len(cands) == 1:
             # forced: attribute the whole multiplicity at c in one batch
             cd = cands[0]
             units, short = divmod(mult, cd.per)
+            if short or avail[cd.idx][1] < units:
+                return ctx.stuck(c)
             try:
-                if short or avail[cd.idx][1] < units:
-                    raise UnderflowError(f"cannot charge {mult} points at {c!r}")
                 cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, c, cd, units, ctx)
             except UnderflowError:
-                if ctx.stuck_at is None:
-                    ctx.stuck_at = c
-                return
+                return ctx.stuck(c)
             last = None
             continue
         # tie: several attributions survive locally; branch one unit at a time
@@ -312,7 +310,7 @@ def recover_ratios(
     leftover multiplicity (twice the class multiplicity).
     """
     w = _check_window(w)
-    cur = _coerce(z_pm, _check_tol(tol))
+    cur = _coerce(z_pm, _check_tol(tol, DomainError))
     lengths = _coerce(lengths, tol)
     ctx = _SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound))
     avail = [[a, m] for a, m in lengths]
@@ -400,7 +398,8 @@ def smo_check(
     recovery errors) is FAILED with diagnostics.
     """
     w = _check_window(w)
-    _check_tol(tol)
+    _check_tol(tol, DomainError)
+    tau = _index(tau, "twist index")
     s1, s2 = spectrum_difference(spec1, spec2)
     diagnostics: list[str] = []
     if s1 or s2:
@@ -415,15 +414,20 @@ def smo_check(
         if not m.equal:
             diagnostics.append(f"{what} {m.witness!r}")
 
-    stage(zero_line(s1, tau, w), zero_line(s2, tau, w), "zero lines differ; witness imaginary part")
+    @functools.cache
+    def line(side: int, twist: int) -> RealMultiset:
+        # each side's zero line is built once per distinct twist (tau is often 0 or 1)
+        return zero_line((s1, s2)[side], twist, w)
+
+    stage(line(0, tau), line(1, tau), "zero lines differ; witness imaginary part")
     lengths1 = ratios1 = RealMultiset()
     failed = False
     try:
-        lengths1 = recover_lengths(zero_line(s1, 0, w), w, tol)
-        lengths2 = recover_lengths(zero_line(s2, 0, w), w, tol)
+        lengths1 = recover_lengths(line(0, 0), w, tol)
+        lengths2 = recover_lengths(line(1, 0), w, tol)
         stage(lengths1, lengths2, "recovered lengths differ; witness")
-        ratios1 = recover_ratios(strip_k0(zero_line(s1, 1, w), lengths1, w), lengths1, w, tol)
-        ratios2 = recover_ratios(strip_k0(zero_line(s2, 1, w), lengths2, w), lengths2, w, tol)
+        ratios1 = recover_ratios(strip_k0(line(0, 1), lengths1, w), lengths1, w, tol)
+        ratios2 = recover_ratios(strip_k0(line(1, 1), lengths2, w), lengths2, w, tol)
         stage(ratios1, ratios2, "recovered ratios differ; witness")
     except SpectralError as exc:
         failed = True

@@ -18,7 +18,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, UnderflowError
+from .errors import DomainError, UnderflowError, _check_tol, _positive, _whole
 from .geodesic import Spectrum
 from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset
 from .zeta import _index
@@ -35,21 +35,17 @@ class ZeroWindow(NamedTuple):
 
 def _check_window(w) -> ZeroWindow:
     w = ZeroWindow(*w)
-    if int(w.max_m) != w.max_m or w.max_m < 0:
-        raise DomainError(f"window max_m must be a nonnegative integer, got {w.max_m!r}")
-    if not (0 < w.im_bound < math.inf):
-        raise DomainError(f"window im_bound must be positive and finite, got {w.im_bound!r}")
-    return ZeroWindow(int(w.max_m), float(w.im_bound))
+    return ZeroWindow(_whole(w.max_m, "window max_m", 0), _positive(w.im_bound, "window im_bound"))
 
 
 def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     # integers n with |(-b*kk - 2*n*pi)/a| <= im_bound, exact bounds
     span = im_bound * a
-    if not math.isfinite(span):
-        raise DomainError(f"window im_bound {im_bound!r} times length {a!r} is not finite")
-    lo = math.ceil((-span - b * kk) / TWO_PI)
-    hi = math.floor((span - b * kk) / TWO_PI)
-    return range(lo, hi + 1)
+    lo, hi = (-span - b * kk) / TWO_PI, (span - b * kk) / TWO_PI
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        msg = f"window im_bound {im_bound!r} has no finite n-range for class ({a!r}, {b!r})"
+        raise DomainError(msg)
+    return range(math.ceil(lo), math.floor(hi) + 1)
 
 
 def _progressions(
@@ -66,9 +62,7 @@ def _progressions(
 
 def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0) -> np.ndarray:
     """The progressions of ks joined k-major, with -0.0 normalized to 0.0."""
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
-    parts = _progressions(a, b, ks, im_bound, pad)
+    parts = _progressions(_positive(a, "length"), b, ks, im_bound, pad)
     # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
     return np.concatenate(parts) + 0.0 if parts else np.empty(0)
 
@@ -154,9 +148,13 @@ def subtract_trace(
     points, so a single k is never checked; for several, the merge runs only
     where a sort of the joined progressions shows two equal neighbours,
     which for k = +1 and -1 needs b within rounding of 0 or pi.
+
+    Raises ValueError when ``mult`` is not a nonnegative integer or ``tol``
+    is negative or not finite, as ``RealMultiset.subtract`` does.
     """
     w = _check_window(w)
-    band = tol * max(1.0, w.im_bound)
+    mult = _whole(mult, "multiplicity", 0, ValueError)
+    band = _check_tol(tol, ValueError) * max(1.0, w.im_bound)
     values = _trace(a, b, ks, w.im_bound, pad=1)
     seen = np.ones(values.size, dtype=np.int64)
     if len(ks) > 1:
@@ -165,7 +163,7 @@ def subtract_trace(
             trace, first, seen = np.unique(values, return_index=True, return_counts=True)
             order = np.argsort(first)
             values, seen = trace[order], seen[order]
-    if abs(mult) * int(seen.max(initial=0)) < COUNT_LIMIT:
+    if mult * int(seen.max(initial=0)) < COUNT_LIMIT:
         wants = seen * mult
     else:  # past int64: Python ints, which only the exact walk takes
         wants = seen.astype(object) * mult

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DivisionByZero, DomainError, FactorZero
+from .errors import ConvergenceWarning, DivisionByZero, FactorZero, _positive, _whole
 from .geodesic import PrimitiveClass, Spectrum, spectrum_difference
 from .lie_so31 import rho0
 
@@ -49,19 +49,13 @@ class Truncation(NamedTuple):
 
 def _index(x, what: str) -> int:
     # a TauIndex or Truncation, or a bare integer
-    m = int(x[0] if isinstance(x, (TauIndex, Truncation)) else x)
-    if m < 0:
-        raise DomainError(f"{what} must be nonnegative, got {x!r}")
-    return m
+    return _whole(x[0] if isinstance(x, (TauIndex, Truncation)) else x, what, 0)
 
 
 def xi_lambda(lp: LatticePoint, a: float, b: float) -> complex:
     """Semilattice character value exp((m1+m2)*a + i*(m1-m2)*b)."""
-    m1, m2 = int(lp[0]), int(lp[1])
-    if m1 < 0 or m2 < 0:
-        raise DomainError(f"lattice point must be nonnegative, got {lp!r}")
-    if a <= 0:
-        raise DomainError(f"length must be positive, got {a!r}")
+    m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
+    a = _positive(a, "length")
     return cmath.exp(complex((m1 + m2) * a, (m1 - m2) * b))
 
 
@@ -77,7 +71,7 @@ def _one_minus_exp_neg(re: float, im: float) -> complex:
 def factor_exponent(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> complex:
     """The exponent X of the local factor 1 - exp(-X)."""
     a, b = float(cls[0]), float(cls[1])
-    m1, m2 = int(lp[0]), int(lp[1])
+    m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     s = complex(s)
     return complex(
         (m1 + m2) * a + s.real * a,

@@ -256,6 +256,25 @@ def test_zeros_total_multiplicity_past_int64_ends_in_json(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
 
 
+@pytest.mark.parametrize("mult", [2**62, 2**62 + 1, "4.611686018427388e18"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_multiplicity_past_float_precision_reaches_the_count_bound(mult, fmt, tmp_path, capsys):
+    # 2**62 + 1 is an integer that no float holds: it must not read as a fraction
+    if fmt == "csv":
+        path = tmp_path / "huge.csv"
+        path.write_text(f"length,holonomy,multiplicity\n1.0,0.5,{mult}\n")
+    else:
+        path = tmp_path / "huge.json"
+        path.write_text(f'[{{"length": 1.0, "holonomy": 0.5, "multiplicity": {mult}}}]')
+    code = run_cli(["recover", str(path), "--imbound", "10"])
+    out = json.loads(capsys.readouterr().out)
+    if fmt == "csv" and isinstance(mult, str):  # no integer literal
+        assert code == 2 and out["error"]["code"] == "parse_error"
+    else:
+        assert code == 1 and out["error"]["code"] == "domain_error"
+        assert "2**63" in out["error"]["message"]
+
+
 @pytest.mark.parametrize("command", ["zeta", "psi"])
 def test_evaluate_multiplicity_past_int64_is_domain_error(command, tmp_path, capsys):
     path = tmp_path / "huge.csv"

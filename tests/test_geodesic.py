@@ -112,8 +112,9 @@ def test_inverse_class_relations():
     a, b = inverse_class(2.0, 1.0)
     assert (a, b) == (2.0, TWO_PI - 1.0)
     assert inverse_class(2.0, 0.0) == (2.0, 0.0)
-    with pytest.raises(DomainError):
-        inverse_class(-1.0, 0.5)
+    for a in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="length must be positive"):
+            inverse_class(a, 0.5)
 
 
 @given(lengths, angles)
@@ -135,8 +136,13 @@ def test_power_class_arithmetic():
     assert got.ratio() == got.holonomy / got.length
     with pytest.raises(DomainError):
         power_class(1.0, 1.0, 0)
-    with pytest.raises(DomainError):
-        power_class(-1.0, 1.0, 2)
+    for a in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="length must be positive"):
+            power_class(a, 1.0, 2)
+    for j in (1.5, math.nan, math.inf):
+        with pytest.raises(DomainError, match="power must be a positive integer"):
+            power_class(1.0, 1.0, j)
+    assert power_class(1.0, 1.0, 2.0) == power_class(1.0, 1.0, 2)
 
 
 def test_power_class_agrees_with_matrix_power(rng):
@@ -160,6 +166,9 @@ def test_spectrum_validation():
     # int() would truncate the fraction to a valid-looking multiplicity 1
     with pytest.raises(DomainError, match="positive integer, got 1.5"):
         Spectrum([(1.0, 0.5, 1.5)])
+    for mult in (math.nan, math.inf):  # int() would raise ValueError or OverflowError
+        with pytest.raises(DomainError, match="multiplicity must be a positive integer"):
+            Spectrum([(1.0, 0.5, mult)])
 
 
 def test_spectrum_canonical_form():

@@ -45,6 +45,13 @@ def test_zero_multiplicity_entries_dropped():
 def test_negative_multiplicity_rejected():
     with pytest.raises(ValueError):
         RealMultiset([(1.0, -1)])
+    # int() would truncate 1.5 to 1, and raise OverflowError or ValueError otherwise
+    for mult in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="multiplicity must be an integer"):
+            RealMultiset([(1.0, mult)])
+        with pytest.raises(ValueError, match="multiplicity must be an integer"):
+            ComplexMultiset([(1j, mult)])
+    assert RealMultiset([(1.0, 2.0)]) == RealMultiset([(1.0, 2)])
 
 
 def test_totals_and_values():
@@ -87,6 +94,9 @@ def test_subtract_rejects_negative_or_fractional_wants():
     with pytest.raises(ValueError):  # a fraction would be truncated
         ms.subtract([(1.0, 0.5)], 0.0)
     assert ms.subtract([(1.0, 1.0)], 0.0).total() == 0
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            ms.subtract([(1.0, 1)], tol)
 
 
 def test_subtract_drains_by_proximity():

@@ -1,0 +1,198 @@
+"""One rule per scalar argument: whole numbers, lengths and tolerances.
+
+Every entry point that takes a count, an index, a length or a tolerance is
+driven with whole, fractional, non-finite, numpy and out-of-range values.
+A value the rule accepts must give the same result as its plain int (or
+float); any other value must raise the entry point's typed error with the
+rule's message, never an error from int() or a truncated result.
+"""
+
+import io
+import json
+import math
+import re
+import sys
+from typing import Callable, NamedTuple
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lhspec import (
+    ComplexMultiset,
+    DomainError,
+    LatticePoint,
+    ParseError,
+    PrimitiveClass,
+    RealMultiset,
+    Spectrum,
+    SpectralError,
+    ZeroWindow,
+    class_trace,
+    factor_exponent,
+    inverse_class,
+    log_derivative,
+    power_class,
+    strip_k0,
+    xi_lambda,
+    zero_line,
+    zeta_tau,
+)
+from lhspec.cli_io import _load_zero_data, parse_spectrum
+from lhspec.multisets import multiset_equal
+from lhspec.recovery import recover_lengths, recover_ratios, smo_check
+from lhspec.zeros import subtract_trace
+
+SPEC = Spectrum([(1.0, 0.5, 1), (1.7, 0.0, 2)])
+W = ZeroWindow(0, 12.0)
+LINE, LENGTHS = zero_line(SPEC, 0, W), SPEC.lengths()
+TWISTED = strip_k0(zero_line(SPEC, 1, W), LENGTHS, W)
+TRACE = RealMultiset.from_values(class_trace(1.0, 0.0, (0,), W) * 2)
+
+
+def load_zero_data(text: str) -> dict:
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        return _load_zero_data("-")
+
+
+def csv_row(mult) -> Spectrum:
+    return parse_spectrum(f"length,holonomy,multiplicity\n1.0,0.5,{mult}\n")
+
+
+def json_row(mult) -> Spectrum:
+    return parse_spectrum(f'[{{"length": 1.0, "holonomy": 0.5, "multiplicity": {mult}}}]', "json")
+
+
+class Site(NamedTuple):
+    name: str
+    call: Callable
+    error: type
+    low: int | None = None  # the least whole number accepted, for the whole-number rule
+    file: str | None = None  # "csv" or "json" when the value is parsed from a file
+
+
+WHOLE_SITES = [
+    Site("spectrum multiplicity", lambda x: Spectrum([(1.0, 0.5, x)]), DomainError, 1),
+    Site("power_class power", lambda x: power_class(1.0, 0.5, x), DomainError, 1),
+    Site("zeta_tau twist index", lambda x: zeta_tau(SPEC, x, 3.0, 1), DomainError, 0),
+    Site("log_derivative truncation", lambda x: log_derivative(SPEC, 0, 3.0, x), DomainError, 0),
+    Site("xi_lambda m1", lambda x: xi_lambda(LatticePoint(x, 0), 1e-3, 0.5), DomainError, 0),
+    Site(
+        "factor_exponent m2",
+        lambda x: factor_exponent(1, LatticePoint(0, x), PrimitiveClass(1.0, 0.5), 3.0),
+        DomainError,
+        0,
+    ),
+    Site("window max_m", lambda x: class_trace(1.0, 0.5, (1,), ZeroWindow(x, 9.0)), DomainError, 0),
+    Site("subtract_trace mult", lambda x: subtract_trace(TRACE, 1, 0, (0,), x, W), ValueError, 0),
+    Site("RealMultiset multiplicity", lambda x: RealMultiset([(1.0, x)]), ValueError),
+    Site("ComplexMultiset multiplicity", lambda x: ComplexMultiset([(1j, x)]), ValueError),
+    Site("subtract wants", lambda x: TRACE.subtract([(0.0, x)], 0.0), ValueError, 0),
+    # a parsed multiplicity below 1 is a DomainError of the spectrum rule
+    Site("CSV multiplicity", csv_row, ParseError, file="csv"),
+    Site("JSON multiplicity", json_row, ParseError, file="json"),
+    Site(
+        "zero data multiplicity",
+        lambda x: load_zero_data(f'{{"m0": [{{"value": 0.0, "multiplicity": {x}}}]}}'),
+        ParseError,
+        0,
+        "json",
+    ),
+]
+
+LENGTH_SITES = [
+    Site("spectrum length", lambda x: Spectrum([(x, 0.5, 1)]), DomainError),
+    Site("inverse_class length", lambda x: inverse_class(x, 0.5), DomainError),
+    Site("power_class length", lambda x: power_class(x, 0.5, 2), DomainError),
+    Site("xi_lambda length", lambda x: xi_lambda(LatticePoint(1, 0), x, 0.5), DomainError),
+    Site("class_trace length", lambda x: class_trace(x, 0.5, (1,), W), DomainError),
+    Site("window im_bound", lambda x: class_trace(1.0, 0.5, (1,), ZeroWindow(0, x)), DomainError),
+]
+
+TOL_SITES = [
+    Site("recover_lengths tol", lambda x: recover_lengths(LINE, W, x), DomainError),
+    Site("recover_ratios tol", lambda x: recover_ratios(TWISTED, LENGTHS, W, x), DomainError),
+    Site("smo_check tol", lambda x: smo_check(SPEC, SPEC, 1, W, x), DomainError),
+    Site("Spectrum tol", lambda x: Spectrum([(1.0, 0.5, 1)], x), ValueError),
+    Site("RealMultiset tol", lambda x: RealMultiset([(1.0, 1)], x), ValueError),
+    Site("ComplexMultiset tol", lambda x: ComplexMultiset([(1j, 1)], x), ValueError),
+    Site("subtract tol", lambda x: TRACE.subtract([(0.0, 1)], x), ValueError),
+    Site("subtract_trace tol", lambda x: subtract_trace(TRACE, 1, 0, (0,), 2, W, x), ValueError),
+    Site("multiset_equal tol", lambda x: multiset_equal(LINE, LINE, x), ValueError),
+]
+
+# the special values are drawn half the time, so that each site meets every
+# one of them within its examples
+special = [1.5, -1, math.nan, math.inf, -math.inf, 2**63]
+small = st.integers(-2, 4).flatmap(
+    lambda n: st.sampled_from([n, float(n), np.int64(n), np.float64(n), np.float32(n)])
+)
+whole_values = st.sampled_from(special) | small
+file_values = st.sampled_from(special + ["3", "3.0"]) | small
+length_values = st.sampled_from(
+    [0.5, 2, np.float32(1.5), np.float64(3.0), 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+)
+tol_values = st.sampled_from(
+    [0.0, 1e-9, 0.25, 1, np.float64(1e-8), -1e-9, math.nan, math.inf, -math.inf]
+)
+
+
+def as_whole(x):
+    """The int the whole-number rule reads x as, or None: written apart from the library."""
+    if isinstance(x, str):
+        return int(x) if re.fullmatch(r"[+-]?\d+", x) else None
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    return int(x) if math.isfinite(x) and x == math.floor(x) else None
+
+
+def in_file(x, fmt: str):
+    """The text that stands for x in a file, and the value its parser reads back."""
+    if fmt == "csv":
+        text = x if isinstance(x, str) else str(x)
+        return text, text
+    text = json.dumps(x.item() if isinstance(x, np.generic) else x)
+    return text, json.loads(text)
+
+
+def outcome(call, x):
+    try:
+        return "value", call(x)
+    except (SpectralError, ValueError, OverflowError) as exc:
+        return "error", type(exc)
+
+
+RULES = {
+    "whole": "must be (an|a nonnegative|a positive) integer, got",
+    "length": "must be positive, got",
+    "tol": "tolerance must be finite and nonnegative, got",
+}
+CASES = (
+    [("whole", s) for s in WHOLE_SITES]
+    + [("length", s) for s in LENGTH_SITES]
+    + [("tol", s) for s in TOL_SITES]
+)
+
+
+@pytest.mark.parametrize("rule, site", CASES, ids=[s.name for _, s in CASES])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scalar_argument_rules(rule, site, data):
+    if rule == "whole":
+        x = data.draw(file_values if site.file else whole_values)
+        given_x, read = in_file(x, site.file) if site.file else (x, x)
+        n = as_whole(read)
+        accepted = n is not None and (site.low is None or n >= site.low)
+        plain = str(n) if site.file else n
+    else:
+        given_x = data.draw(length_values if rule == "length" else tol_values)
+        v = float(given_x)
+        accepted = 0.0 < v < math.inf if rule == "length" else 0.0 <= v < math.inf
+        plain = v
+    if accepted:
+        assert outcome(site.call, given_x) == outcome(site.call, plain)
+    else:
+        with pytest.raises(site.error, match=RULES[rule]):
+            site.call(given_x)

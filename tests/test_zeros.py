@@ -53,6 +53,25 @@ def test_window_validation():
         zero_line(Spectrum(), 0, ZeroWindow(0, 0.0))
     with pytest.raises(DomainError):
         class_trace(-1.0, 0.0, (0,), ZeroWindow(0, 5.0))
+    # int() would raise ValueError or OverflowError, or compute at tau 1
+    for max_m in (math.nan, math.inf, 1.5):
+        with pytest.raises(DomainError, match="max_m must be a nonnegative integer"):
+            zero_line(Spectrum(), 0, ZeroWindow(max_m, 10.0))
+    spec = Spectrum([(1.0, 0.5, 1)])
+    for generate in (zero_line, zero_multiset):
+        for tau in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="twist index must be a nonnegative integer"):
+                generate(spec, tau, ZeroWindow(0, 10.0))
+    for a in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="length must be positive"):
+            class_trace(a, 0.5, (1,), ZeroWindow(0, 10.0))
+
+
+@pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+def test_non_finite_holonomy_has_no_n_range(b):
+    # math.ceil of a NaN or infinite bound would raise ValueError or OverflowError
+    with pytest.raises(DomainError, match="no finite n-range"):
+        class_trace(1.0, b, (1,), ZeroWindow(0, 10.0))
 
 
 def test_zero_multiset_spec_example():
@@ -221,6 +240,20 @@ def test_subtract_trace_strict_interior():
     broken = data.subtract([(math.pi, 1)], tol=0.0)
     with pytest.raises(UnderflowError):
         subtract_trace(broken, 2.0, 0.0, (0,), 1, w)
+
+
+def test_subtract_trace_rejects_bad_multiplicity_and_tolerance():
+    w = ZeroWindow(0, 10.0)
+    data = RealMultiset.from_values(class_trace(1.0, 0.0, (0,), w) * 2)
+    # int() would remove one copy for 1.5, and -1 would add one
+    for mult in (1.5, -1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="multiplicity must be a nonnegative integer"):
+            subtract_trace(data, 1.0, 0.0, (0,), mult, w)
+    # a NaN tolerance matches every stored value
+    for tol in (math.nan, -1.0, math.inf):
+        with pytest.raises(ValueError, match="tolerance"):
+            subtract_trace(data, 1.0, 0.0, (0,), 2, w, tol)
+    assert subtract_trace(data, 1.0, 0.0, (0,), 2.0, w).total() == 0
 
 
 def test_subtract_trace_forgives_window_edge():

@@ -52,8 +52,11 @@ def test_xi_lambda_values():
     assert abs(got - (-math.e)) < 1e-12
     with pytest.raises(DomainError):
         xi_lambda(LatticePoint(-1, 0), 1.0, 0.0)
-    with pytest.raises(DomainError):
-        xi_lambda(LatticePoint(0, 0), -1.0, 0.0)
+    with pytest.raises(DomainError):  # int() would truncate m1 to 1
+        xi_lambda(LatticePoint(1.5, 0), 1.0, 0.5)
+    for a in (-1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="length must be positive"):
+            xi_lambda(LatticePoint(1, 0), a, 0.5)
 
 
 def test_xi_lambda_swap_conjugates(rng):
@@ -77,6 +80,8 @@ def test_factor_exponent_shape():
     x = factor_exponent(2, LatticePoint(1, 0), PrimitiveClass(0.5, 0.25, 1), 3 + 2j)
     assert x.real == pytest.approx((1 + 3) * 0.5)
     assert x.imag == pytest.approx(2 * 0.25 + 1 * 0.25 + 2 * 0.5)
+    with pytest.raises(DomainError):  # int() would truncate m1 to 1
+        factor_exponent(0, LatticePoint(1.5, 0), PrimitiveClass(0.5, 0.25, 1), 3 + 2j)
 
 
 def test_euler_factor_matches_naive_formula(rng):
@@ -125,6 +130,15 @@ def test_zeta_accepts_plain_ints_for_indices():
         zeta_tau(spec, -1, 3.0, 0)
     with pytest.raises(DomainError):
         zeta_tau(spec, 0, 3.0, -2)
+    assert zeta_tau(spec, 1.0, 3.0, 5.0) == zeta_tau(spec, 1, 3.0, 5)
+    # int() would compute at tau 1 and truncation 5, or raise ValueError/OverflowError
+    for evaluate in (zeta_tau, log_derivative):
+        for bad in (1.5, math.nan, math.inf):
+            with pytest.raises(DomainError, match="twist index must be a nonnegative integer"):
+                evaluate(spec, bad, 3.0, 5)
+        for bad in (5.9, math.nan, -math.inf):
+            with pytest.raises(DomainError, match="truncation order must be a nonnegative integer"):
+                evaluate(spec, 1, 3.0, bad)
 
 
 def test_zeta_multiplicative_over_disjoint_spectra(rng):
