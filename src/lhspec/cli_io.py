@@ -33,15 +33,8 @@ import numpy as np
 from . import lie_so31
 from .errors import DomainError, ParseError, SpectralError, _whole
 from .geodesic import PrimitiveClass, Spectrum, _validate, classify
-from .multisets import RealMultiset
-from .recovery import (
-    RecoveryReport,
-    _multiset_json,
-    match_multisets,
-    recover_lengths,
-    recover_ratios,
-    smo_check,
-)
+from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset, _count_array, _Multiset
+from .recovery import RecoveryReport, match_multisets, recover_lengths, recover_ratios, smo_check
 from .zeros import ZeroWindow, strip_k0, zero_line, zero_multiset
 from .zeta import log_derivative, zeta_tau
 
@@ -58,6 +51,25 @@ def _fmt_float(v: float) -> str:
     if not math.isfinite(v):
         return "null"
     return f"{v:.17g}"
+
+
+#: the record keys of a multiset's value columns, in ``__slots__`` order
+_RECORD_KEYS = {
+    RealMultiset: ("value",),
+    ComplexMultiset: ("re", "im"),
+    Spectrum: ("length", "holonomy"),
+}
+
+
+def _dumps_multiset(ms: _Multiset, indent: int) -> str:
+    # an array of records, one per entry: its value columns, then "multiplicity"
+    pad = " " * (indent + 2)
+    # a str.format template with one {} per field; the record's own braces are doubled
+    fields = ",\n".join(f'{pad}  "{k}": {{}}' for k in (*_RECORD_KEYS[type(ms)], "multiplicity"))
+    record = f"{pad}{{{{\n{fields}\n{pad}}}}}"
+    cols = [map(_fmt_float, getattr(ms, name).tolist()) for name in type(ms).__slots__]
+    rows = ",\n".join(map(record.format, *cols, ms._counts.tolist()))
+    return f"[\n{rows}\n{' ' * indent}]" if ms else "[]"
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -82,6 +94,8 @@ def dumps(obj, indent: int = 0) -> str:
             f"{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}" for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
+    if isinstance(obj, _Multiset):
+        return _dumps_multiset(obj, indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -208,7 +222,7 @@ def serialize_spectrum(spec: Spectrum, format: str = "csv") -> str:
         )
         return "\n".join(rows) + "\n"
     if fmt == "json":
-        return dumps([c._asdict() for c in spec]) + "\n"
+        return dumps(spec) + "\n"
     raise ParseError(f"unknown spectrum format {format!r} (expected csv or json)")
 
 
@@ -257,7 +271,7 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
         rows = data[key]
         if not isinstance(rows, list):
             raise ParseError(f'"{key}" must be an array')
-        pairs = []
+        values, mults = [], []
         for i, row in enumerate(rows):
             where = f'"{key}" entry {i}'
             if isinstance(row, dict):
@@ -270,8 +284,9 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
                 raise ParseError(f"{where}: expected a number or a value object") from None
             if not math.isfinite(value):
                 raise ParseError(f"{where}: value must be finite, got {value!r}")
-            pairs.append((value, _whole(mult, f"{where}: multiplicity", 0, ParseError)))
-        out[key] = RealMultiset(pairs)
+            values.append(value)
+            mults.append(_whole(mult, f"{where}: multiplicity", 0, ParseError))
+        out[key] = RealMultiset._from_arrays(np.array(values), _count_array(mults), tol=TAU_ZERO)
     return out
 
 
@@ -329,12 +344,7 @@ def _cmd_evaluate(args) -> dict:
 def _cmd_zeros(args) -> dict:
     spec = load_spectrum(args.spectrum, args.format)
     w = _window(args, spec)
-    zm = zero_multiset(spec, args.tau, w)
-    return {
-        "window": w._asdict(),
-        "tau": args.tau,
-        "zeros": [{"re": v.real, "im": v.imag, "multiplicity": m} for v, m in zm],
-    }
+    return {"window": w._asdict(), "tau": args.tau, "zeros": zero_multiset(spec, args.tau, w)}
 
 
 def _cmd_recover(args) -> dict:
@@ -352,9 +362,9 @@ def _cmd_recover(args) -> dict:
     lengths = recover_lengths(m0, w, tol)
     ratios = None if m1 is None else recover_ratios(strip_k0(m1, lengths, w), lengths, w, tol)
     if args.kind == "zeros":
-        out = {"window": w._asdict(), "recovered_lengths": _multiset_json(lengths)}
+        out = {"window": w._asdict(), "recovered_lengths": lengths}
         if ratios is not None:
-            out["recovered_ratios"] = _multiset_json(ratios)
+            out["recovered_ratios"] = ratios
         return out
     matches = [
         match_multisets(lengths, spec.lengths(), tol),
@@ -374,6 +384,36 @@ def _cmd_compare(args) -> dict:
     return {**report.to_dict(), "window": w._asdict()}
 
 
+#: every CLI argument, declared once (decompose adds its own membership --tol)
+_ARGUMENTS = {
+    "matrix": dict(help="JSON file with a 4x4 matrix (or '-' for stdin)"),
+    "spectrum": dict(help="spectrum file (csv/json)"),
+    "input": dict(help="spectrum file or zero-line JSON file"),
+    "spectrum1": dict(help="first spectrum file"),
+    "spectrum2": dict(help="second spectrum file"),
+    "--s": dict(required=True, help="evaluation point, RE+IMi literal"),
+    "--tau": dict(type=int, default=0, help="twist index m (default 0)"),
+    "--maxm": dict(type=int, default=30, help="lattice truncation (default 30)"),
+    "--imbound": dict(
+        type=float, help="zero window |Im(s)| bound (default 20*pi / min input length)"
+    ),
+    "--tol": dict(type=float, default=1e-9, help="matching tolerance"),
+    "--format": dict(choices=("csv", "json"), help="spectrum format"),
+    "--kind": dict(
+        choices=("spectrum", "zeros"),
+        default="spectrum",
+        help="input is a spectrum (roundtrip self-check) or raw zero-line data",
+    ),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, arguments: str, **defaults) -> None:
+    """Give a subcommand the named _ARGUMENTS, in order, and its parser defaults."""
+    for flag in arguments.split():
+        p.add_argument(flag, **_ARGUMENTS[flag])
+    p.set_defaults(**defaults)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lhspec",
@@ -381,72 +421,25 @@ def build_parser() -> argparse.ArgumentParser:
         "products, zero multisets, and multiset-peeling recovery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, spectrum_args=(), want_s=False, want_tau=True, want_window=False, want_tol=False):
-        for name, help_text in spectrum_args:
-            p.add_argument(name, help=help_text)
-        if want_s:
-            p.add_argument("--s", required=True, help="evaluation point, RE+IMi literal")
-        if want_tau:
-            p.add_argument("--tau", type=int, default=0, help="twist index m (default 0)")
-        p.add_argument("--maxm", type=int, default=30, help="lattice truncation (default 30)")
-        if want_window:
-            p.add_argument(
-                "--imbound",
-                type=float,
-                default=None,
-                help="zero window |Im(s)| bound (default 20*pi / min input length)",
-            )
-        if want_tol:
-            p.add_argument("--tol", type=float, default=1e-9, help="matching tolerance")
-        p.add_argument("--format", choices=("csv", "json"), default=None, help="spectrum format")
-
     p = sub.add_parser("decompose", help="Cartan and Iwasawa parts of an so(3,1) matrix")
-    p.add_argument("matrix", help="JSON file with a 4x4 matrix (or '-' for stdin)")
+    _add_arguments(p, "matrix", func=_cmd_decompose)
     p.add_argument("--tol", type=float, default=lie_so31.TAU_ALG, help="membership tolerance")
-    p.set_defaults(func=_cmd_decompose)
-
     p = sub.add_parser("classify", help="(length, holonomy) of a loxodromic matrix")
-    p.add_argument("matrix", help="JSON file with a 4x4 matrix (or '-' for stdin)")
-    p.set_defaults(func=_cmd_classify)
-
-    for name, evaluate, help_text in (
-        ("zeta", zeta_tau, "truncated zeta value at a point"),
-        ("psi", log_derivative, "logarithmic derivative of the truncated zeta"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p, [("spectrum", "spectrum file (csv/json)")], want_s=True)
-        p.set_defaults(func=_cmd_evaluate, evaluate=evaluate)
-
+    _add_arguments(p, "matrix", func=_cmd_classify)
+    p = sub.add_parser("zeta", help="truncated zeta value at a point")
+    _add_arguments(p, "spectrum --s --tau --maxm --format", func=_cmd_evaluate, evaluate=zeta_tau)
+    p = sub.add_parser("psi", help="logarithmic derivative of the truncated zeta")
+    _add_arguments(
+        p, "spectrum --s --tau --maxm --format", func=_cmd_evaluate, evaluate=log_derivative
+    )
     p = sub.add_parser("zeros", help="windowed zero multiset of a spectrum")
-    common(p, [("spectrum", "spectrum file (csv/json)")], want_window=True)
-    p.set_defaults(func=_cmd_zeros)
-
+    _add_arguments(p, "spectrum --tau --maxm --imbound --format", func=_cmd_zeros)
     p = sub.add_parser("recover", help="peel lengths and ratios back out of zero data")
-    common(
-        p,
-        [("input", "spectrum file or zero-line JSON file")],
-        want_tau=False,
-        want_window=True,
-        want_tol=True,
-    )
-    p.add_argument(
-        "--kind",
-        choices=("spectrum", "zeros"),
-        default="spectrum",
-        help="input is a spectrum (roundtrip self-check) or raw zero-line data",
-    )
-    p.set_defaults(func=_cmd_recover)
-
+    _add_arguments(p, "input --maxm --imbound --tol --format --kind", func=_cmd_recover)
     p = sub.add_parser("compare", help="strong-multiplicity-one check of two spectra")
-    common(
-        p,
-        [("spectrum1", "first spectrum file"), ("spectrum2", "second spectrum file")],
-        want_window=True,
-        want_tol=True,
+    _add_arguments(
+        p, "spectrum1 spectrum2 --tau --maxm --imbound --tol --format", func=_cmd_compare
     )
-    p.set_defaults(func=_cmd_compare)
-
     return parser
 
 

@@ -241,4 +241,4 @@ def inverse_class(a: float, b: float) -> tuple[float, float]:
 def power_class(a: float, b: float, j: int) -> ClassInvariant:
     """Invariants of the j-th power: boosts add, angles add mod 2pi."""
     a, j = _positive(a, "length"), _whole(j, "power", 1)
-    return ClassInvariant(j * a, (j * b) % TWO_PI, j)
+    return ClassInvariant(_positive(j * a, "length of the power"), (j * b) % TWO_PI, j)

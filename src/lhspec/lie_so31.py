@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotInAlgebra
+from .errors import DomainError, NotInAlgebra, _check_tol
 
 #: quadratic form of signature (3,1) preserved by the group
 J = np.diag([1.0, 1.0, 1.0, -1.0])
@@ -55,6 +55,7 @@ class LieElement:
     __slots__ = ("matrix",)
 
     def __init__(self, matrix, tol: float = TAU_ALG):
+        _check_tol(tol, DomainError)
         m = np.array(matrix, dtype=float)
         if m.shape != (4, 4):
             raise DomainError(f"expected a 4x4 matrix, got shape {m.shape}")

@@ -341,11 +341,6 @@ def recover_ratios(
 # end-to-end comparison
 
 
-def _multiset_json(ms: RealMultiset) -> list:
-    """The (value, multiplicity) entries as a list of JSON objects."""
-    return [{"value": v, "multiplicity": m} for v, m in ms]
-
-
 @dataclass(frozen=True)
 class RecoveryReport:
     """Outcome of comparing two spectra through their windowed zero data."""
@@ -375,12 +370,16 @@ class RecoveryReport:
         return cls(lengths, ratios, residual, status, witness, tuple(diagnostics))
 
     def to_dict(self) -> dict:
+        lengths, ratios = (
+            [{"value": v, "multiplicity": m} for v, m in ms]
+            for ms in (self.recovered_lengths, self.recovered_ratios)
+        )
         return {
             "status": self.status,
             "residual": self.residual,
             "witness": self.witness,
-            "recovered_lengths": _multiset_json(self.recovered_lengths),
-            "recovered_ratios": _multiset_json(self.recovered_ratios),
+            "recovered_lengths": lengths,
+            "recovered_ratios": ratios,
             "diagnostics": list(self.diagnostics),
         }
 

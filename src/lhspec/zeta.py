@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DivisionByZero, FactorZero, _positive, _whole
+from .errors import ConvergenceWarning, DivisionByZero, DomainError, FactorZero, _positive, _whole
 from .geodesic import PrimitiveClass, Spectrum, spectrum_difference
 from .lie_so31 import rho0
 
@@ -56,7 +56,13 @@ def xi_lambda(lp: LatticePoint, a: float, b: float) -> complex:
     """Semilattice character value exp((m1+m2)*a + i*(m1-m2)*b)."""
     m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     a = _positive(a, "length")
-    return cmath.exp(complex((m1 + m2) * a, (m1 - m2) * b))
+    try:
+        z = cmath.exp(complex((m1 + m2) * a, (m1 - m2) * b))
+    except OverflowError:
+        z = complex(math.inf)
+    if cmath.isinf(z):  # exp of an infinite real part is inf without an OverflowError
+        raise DomainError(f"character of {(m1, m2)} at length {a!r} overflows a float")
+    return z
 
 
 def _one_minus_exp_neg(re: float, im: float) -> complex:

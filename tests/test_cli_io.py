@@ -1,17 +1,22 @@
 """Spectrum file formats, JSON emission, complex literals, CLI subcommands."""
 
+import io
 import json
 import math
+import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from lhspec import DomainError, ParseError, Spectrum
+from lhspec import ComplexMultiset, DomainError, ParseError, RealMultiset, Spectrum
 from lhspec.cli_io import (
+    _load_zero_data,
+    build_parser,
     dumps,
     format_complex,
     load_spectrum,
@@ -189,6 +194,13 @@ def test_cli_tol_only_where_read(command, capsys):
         argv += ["--s", "3+0i"]
     assert run_cli(argv) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_cli_decompose_tol_must_be_finite_and_nonnegative(tol, capsys):
+    assert run_cli(["decompose", str(DATA / "algebra_elem.json"), "--tol", tol]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "domain_error" and "tolerance must be finite" in err["message"]
 
 
 def test_cli_recover_has_no_tau(capsys):
@@ -409,6 +421,73 @@ def test_dumps_floats_reload_exactly(x):
     assert json.loads(dumps(x)) == x or (math.isnan(x) and json.loads(dumps(x)) is None)
 
 
+# each multiset type's entries as the list of records the CLI used to build
+RECORDS = {
+    RealMultiset: lambda ms: [{"value": v, "multiplicity": m} for v, m in ms],
+    ComplexMultiset: lambda ms: [{"re": z.real, "im": z.imag, "multiplicity": m} for z, m in ms],
+    Spectrum: lambda ms: [c._asdict() for c in ms],
+}
+edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324])
+
+
+@given(
+    kind=st.sampled_from(list(RECORDS)),
+    indent=st.sampled_from([0, 2, 4]),
+    rows=st.lists(
+        st.tuples(edge_floats | st.floats(width=64), edge_floats, st.integers(1, 2**63 - 1)),
+        max_size=6,
+    ),
+)
+def test_dumps_multiset_matches_its_records(kind, indent, rows):
+    # any column values, canonical or not: dumps writes what the arrays hold
+    cols = [np.array([r[i] for r in rows], dtype=np.float64) for i in range(len(kind.__slots__))]
+    ms = kind._trusted(*cols, np.array([r[2] for r in rows], dtype=np.int64))
+    assert dumps(ms, indent) == dumps(RECORDS[kind](ms), indent)
+    assert dumps({"xs": [ms]}, indent) == dumps({"xs": [RECORDS[kind](ms)]}, indent)
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+PARSED_DEFAULTS = [
+    (["decompose", "m.json"], [("command", "decompose"), ("matrix", "m.json"), ("tol", 1e-12)]),
+    (["classify", "m.json"], [("command", "classify"), ("matrix", "m.json")]),
+    *[
+        (
+            [name, "s.csv", "--s", "3+0i"],
+            [("command", name), ("spectrum", "s.csv"), ("s", "3+0i"), ("tau", 0), ("maxm", 30)]
+            + [("format", None)],
+        )
+        for name in ("zeta", "psi")
+    ],
+    (
+        ["zeros", "s.csv"],
+        [("command", "zeros"), ("spectrum", "s.csv"), ("tau", 0), ("maxm", 30)]
+        + [("imbound", None), ("format", None)],
+    ),
+    (
+        ["recover", "s.csv"],
+        [("command", "recover"), ("input", "s.csv"), ("maxm", 30), ("imbound", None)]
+        + [("tol", 1e-9), ("format", None), ("kind", "spectrum")],
+    ),
+    (
+        ["compare", "a.csv", "b.csv"],
+        [("command", "compare"), ("spectrum1", "a.csv"), ("spectrum2", "b.csv"), ("tau", 0)]
+        + [("maxm", 30), ("imbound", None), ("tol", 1e-9), ("format", None)],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", PARSED_DEFAULTS, ids=[a[0] for a, _ in PARSED_DEFAULTS])
+def test_parsed_defaults(argv, parsed):
+    # each subcommand's arguments, in declaration order, with their defaults
+    got = vars(build_parser().parse_args(argv))
+    del got["func"]
+    got.pop("evaluate", None)
+    assert list(got.items()) == parsed
+
+
 # ---------------------------------------------------------------------------
 # spectrum files
 
@@ -525,6 +604,25 @@ def test_zero_data_accepts_plain_numbers(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["recovered_lengths"] == [{"value": 1.0, "multiplicity": 1}]
     assert "recovered_ratios" not in out
+
+
+def load_zero_data(text: str) -> dict:
+    with mock.patch.object(sys, "stdin", io.StringIO(text)):
+        return _load_zero_data("-")
+
+
+@given(
+    rows=st.lists(
+        st.tuples(st.sampled_from([0.0, -0.0, 1.0, 1.0 + 1e-12, 2.0]) | finite, st.integers(0, 5)),
+        max_size=8,
+    )
+)
+def test_zero_data_lines_are_the_multisets_of_their_rows(rows):
+    # values within the default zero tolerance merge, zero multiplicities drop
+    body = [{"value": v, "multiplicity": m} for v, m in rows]
+    data = load_zero_data(json.dumps({"m0": body, "m1": [v for v, _ in rows]}))
+    assert data["m0"] == RealMultiset(rows)
+    assert data["m1"] == RealMultiset((v, 1) for v, _ in rows)
 
 
 def test_zero_data_validation(tmp_path, capsys):

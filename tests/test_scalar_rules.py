@@ -24,6 +24,7 @@ from lhspec import (
     ComplexMultiset,
     DomainError,
     LatticePoint,
+    LieElement,
     ParseError,
     PrimitiveClass,
     RealMultiset,
@@ -50,6 +51,7 @@ W = ZeroWindow(0, 12.0)
 LINE, LENGTHS = zero_line(SPEC, 0, W), SPEC.lengths()
 TWISTED = strip_k0(zero_line(SPEC, 1, W), LENGTHS, W)
 TRACE = RealMultiset.from_values(class_trace(1.0, 0.0, (0,), W) * 2)
+ROTATION = [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
 
 
 def load_zero_data(text: str) -> dict:
@@ -121,6 +123,7 @@ TOL_SITES = [
     Site("subtract tol", lambda x: TRACE.subtract([(0.0, 1)], x), ValueError),
     Site("subtract_trace tol", lambda x: subtract_trace(TRACE, 1, 0, (0,), 2, W, x), ValueError),
     Site("multiset_equal tol", lambda x: multiset_equal(LINE, LINE, x), ValueError),
+    Site("LieElement tol", lambda x: LieElement(ROTATION, x).matrix.tolist(), DomainError),
 ]
 
 # the special values are drawn half the time, so that each site meets every
@@ -196,3 +199,21 @@ def test_scalar_argument_rules(rule, site, data):
     else:
         with pytest.raises(site.error, match=RULES[rule]):
             site.call(given_x)
+
+
+# ---------------------------------------------------------------------------
+# results past the float range
+
+
+def test_xi_lambda_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="overflows"):
+        xi_lambda(LatticePoint(800, 0), 1.0, 0.5)
+    with pytest.raises(DomainError, match="overflows"):
+        xi_lambda(LatticePoint(2, 0), 1e308, 0.5)  # (m1 + m2) * a is inf itself
+    assert math.isfinite(abs(xi_lambda(LatticePoint(700, 0), 1.0, 0.5)))
+
+
+def test_power_class_overflow_is_domain_error():
+    with pytest.raises(DomainError, match="must be positive, got inf"):
+        power_class(1e308, 0.5, 2)
+    assert power_class(1e308, 0.5, 1).length == 1e308
