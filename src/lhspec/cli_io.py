@@ -21,6 +21,7 @@ diagnostics and warnings go to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -31,14 +32,12 @@ from typing import Iterable
 import numpy as np
 
 from . import lie_so31
-from .errors import DomainError, ParseError, SpectralError, _whole
+from .errors import DomainError, ParseError, SpectralError, _reduce_holonomy, _whole
 from .geodesic import PrimitiveClass, Spectrum, _validate, classify
 from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset, _count_array, _Multiset
 from .recovery import RecoveryReport, match_multisets, recover_lengths, recover_ratios, smo_check
 from .zeros import ZeroWindow, strip_k0, zero_line, zero_multiset
 from .zeta import log_derivative, zeta_tau
-
-TWO_PI = 2.0 * math.pi
 
 CSV_HEADER = "length,holonomy,multiplicity"
 
@@ -137,15 +136,6 @@ def format_complex(z: complex) -> str:
 # spectrum files
 
 
-def _reduce_holonomy(h: float) -> float:
-    if 0.0 <= h < TWO_PI or not math.isfinite(h):  # a non-finite one fails _validate
-        return h
-    reduced = h % TWO_PI
-    if reduced < 0 or reduced >= TWO_PI:  # fmod edge: h % 2pi can round to 2pi
-        reduced = 0.0
-    return reduced
-
-
 def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
     try:
         length = float(length)
@@ -155,7 +145,8 @@ def _record(length, holonomy, mult, where: str) -> PrimitiveClass:
     except OverflowError as exc:  # a JSON integer beyond the float range
         raise ParseError(f"{where}: field out of the float range ({exc})") from exc
     m = _whole(mult, f"{where}: multiplicity", None, ParseError)
-    cls = _validate(PrimitiveClass(length, _reduce_holonomy(holonomy), m), where)
+    reduced = _reduce_holonomy(holonomy, f"{where}: holonomy")  # NaN and inf fail here
+    cls = _validate(PrimitiveClass(length, reduced, m), where)
     if cls.holonomy != holonomy:  # only a row that is kept warns
         msg = f"{where}: holonomy {holonomy!r} reduced mod 2*pi to {cls.holonomy!r}"
         warnings.warn(msg, stacklevel=2)
@@ -259,6 +250,17 @@ def _load_matrix(path: str) -> np.ndarray:
     return arr
 
 
+def _zero_value(value) -> float:
+    # a zero-data value as a finite float; its ParseError does not say which row
+    try:
+        value = float(value)
+    except (TypeError, ValueError):
+        raise ParseError("expected a number or a value object") from None
+    if not math.isfinite(value):
+        raise ParseError(f"value must be finite, got {value!r}")
+    return value
+
+
 def _load_zero_data(path: str) -> dict[str, RealMultiset]:
     """Zero-line JSON: {"m0": [...], "m1": [...]} of numbers or value/mult objects."""
     data = _load_json(_read_text(path), " zero data")
@@ -273,19 +275,15 @@ def _load_zero_data(path: str) -> dict[str, RealMultiset]:
             raise ParseError(f'"{key}" must be an array')
         values, mults = [], []
         for i, row in enumerate(rows):
-            where = f'"{key}" entry {i}'
-            if isinstance(row, dict):
-                value, mult = row.get("value"), row.get("multiplicity", 1)
-            else:
-                value, mult = row, 1
-            try:
-                value = float(value)
-            except (TypeError, ValueError):
-                raise ParseError(f"{where}: expected a number or a value object") from None
-            if not math.isfinite(value):
-                raise ParseError(f"{where}: value must be finite, got {value!r}")
-            values.append(value)
-            mults.append(_whole(mult, f"{where}: multiplicity", 0, ParseError))
+            try:  # the checks of one row in order: the value, then its multiplicity
+                if isinstance(row, dict):
+                    values.append(_zero_value(row.get("value")))
+                    mults.append(_whole(row.get("multiplicity", 1), "multiplicity", 0, ParseError))
+                else:
+                    values.append(_zero_value(row))
+                    mults.append(1)
+            except (ParseError, OverflowError) as exc:  # OverflowError: an int past the floats
+                raise ParseError(f'"{key}" entry {i}: {exc}') from None
         out[key] = RealMultiset._from_arrays(np.array(values), _count_array(mults), tol=TAU_ZERO)
     return out
 
@@ -360,7 +358,7 @@ def _cmd_recover(args) -> dict:
         w = ZeroWindow(args.maxm, args.imbound)
         m0, m1 = data["m0"], data.get("m1")
     lengths = recover_lengths(m0, w, tol)
-    ratios = None if m1 is None else recover_ratios(strip_k0(m1, lengths, w), lengths, w, tol)
+    ratios = None if m1 is None else recover_ratios(strip_k0(m1, lengths, w, tol), lengths, w, tol)
     if args.kind == "zeros":
         out = {"window": w._asdict(), "recovered_lengths": lengths}
         if ratios is not None:
@@ -414,7 +412,9 @@ def _add_arguments(p: argparse.ArgumentParser, arguments: str, **defaults) -> No
     p.set_defaults(**defaults)
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
+    """The lhspec parser, built once per process and shared: do not change it."""
     parser = argparse.ArgumentParser(
         prog="lhspec",
         description="Length-holonomy spectra: decompositions, truncated Euler "

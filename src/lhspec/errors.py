@@ -3,7 +3,8 @@
 Every error carries a stable machine-readable ``code`` so the CLI can
 surface failures as structured JSON.  Library code raises these directly;
 nothing here depends on the rest of the package.  So the one copy of each
-rule for scalar arguments (whole numbers, lengths, tolerances) lives here too.
+rule for scalar arguments (whole numbers, lengths, holonomies, tolerances)
+lives here too.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+
+TWO_PI = 2.0 * math.pi
 
 
 class SpectralError(Exception):
@@ -114,6 +117,17 @@ def _positive(x, what: str) -> float:
     if not 0.0 < v < math.inf:
         raise DomainError(f"{what} must be positive, got {x!r}")
     return v
+
+
+def _reduce_holonomy(b, what: str = "holonomy") -> float:
+    """b read mod 2*pi into [0, 2*pi); DomainError for NaN or inf, which no angle is."""
+    h = float(b)
+    if 0.0 <= h < TWO_PI:
+        return h
+    if not math.isfinite(h):
+        raise DomainError(f"{what} must lie in [0, 2*pi), got {b!r}")
+    reduced = h % TWO_PI
+    return reduced if reduced < TWO_PI else 0.0  # a tiny negative h % 2pi rounds to 2pi
 
 
 def _check_tol(tol: float, error: type[Exception]) -> float:

@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, NotInGroup, NotLoxodromic, _positive, _whole
+from .errors import DomainError, NotInGroup, NotLoxodromic, _positive, _reduce_holonomy, _whole
 from .lie_so31 import J
 from .multisets import RealMultiset, _count_array, _Multiset
 
@@ -235,10 +235,15 @@ def classify(g, tol: float = 1e-12) -> tuple[float, float]:
 
 def inverse_class(a: float, b: float) -> tuple[float, float]:
     """Invariants of the inverse class: same length, holonomy 2pi - b mod 2pi."""
-    return _positive(a, "length"), (TWO_PI - b) % TWO_PI
+    return _positive(a, "length"), _reduce_holonomy(TWO_PI - _reduce_holonomy(b))
 
 
 def power_class(a: float, b: float, j: int) -> ClassInvariant:
     """Invariants of the j-th power: boosts add, angles add mod 2pi."""
-    a, j = _positive(a, "length"), _whole(j, "power", 1)
-    return ClassInvariant(_positive(j * a, "length of the power"), (j * b) % TWO_PI, j)
+    a, b, j = _positive(a, "length"), _reduce_holonomy(b), _whole(j, "power", 1)
+    try:
+        length, holonomy = j * a, j * b
+    except OverflowError:  # a power j that no float holds
+        length = holonomy = math.inf
+    length = _positive(length, "length of the power")
+    return ClassInvariant(length, _reduce_holonomy(holonomy, "holonomy of the power"), j)

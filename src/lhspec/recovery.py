@@ -100,12 +100,13 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
                 f"trace of recovered length {a!r} is not fully present: {exc}"
             ) from exc
         if audit is not None:
+            r = _n_range(a, 0.0, 0, w.im_bound)
             audit.append(
                 {
                     "smallest": s0,
                     "length": a,
                     "multiplicity": mu,
-                    "trace_points": len(_n_range(a, 0.0, 0, w.im_bound)),
+                    "trace_points": r.stop - r.start,
                     "removed": before - cur.total(),
                 }
             )
@@ -191,10 +192,11 @@ def _candidates(
             size = 0
             for k in ks:
                 r = _n_range(a, b, k, im_bound)
-                size += len(r)
+                count = r.stop - r.start  # not len(r), which fails past 2**63
+                size += count
                 # one step in from each end of the window, far from c,
                 # which every candidate explains by construction
-                for n in (r[1], r[-2]) if len(r) > 2 else r:
+                for n in (r[1], r[-2]) if count > 2 else r:
                     v = (-b * k - TWO_PI * n) / a
                     if abs(v) <= lim:
                         points.append(v)
@@ -425,8 +427,8 @@ def smo_check(
         lengths1 = recover_lengths(line(0, 0), w, tol)
         lengths2 = recover_lengths(line(1, 0), w, tol)
         stage(lengths1, lengths2, "recovered lengths differ; witness")
-        ratios1 = recover_ratios(strip_k0(line(0, 1), lengths1, w), lengths1, w, tol)
-        ratios2 = recover_ratios(strip_k0(line(1, 1), lengths2, w), lengths2, w, tol)
+        ratios1 = recover_ratios(strip_k0(line(0, 1), lengths1, w, tol), lengths1, w, tol)
+        ratios2 = recover_ratios(strip_k0(line(1, 1), lengths2, w, tol), lengths2, w, tol)
         stage(ratios1, ratios2, "recovered ratios differ; witness")
     except SpectralError as exc:
         failed = True

@@ -51,10 +51,17 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
 def _progressions(
     a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0
 ) -> list[np.ndarray]:
-    """(-b*k - 2*n*pi)/a for each k in ks, n ascending over the window and ``pad`` steps past it."""
+    """(-b*k - 2*n*pi)/a for each k in ks, n ascending over the window and ``pad`` steps past it.
+
+    Each progression is counted from its n-range bounds before it is built:
+    DomainError when it would hold 2**63 points or more.
+    """
     out = []
     for k in ks:
         r = _n_range(a, b, k, im_bound)
+        if r.stop - r.start + 2 * pad >= COUNT_LIMIT:
+            msg = f"window im_bound {im_bound!r} holds 2**63 or more points of class ({a!r}, {b!r})"
+            raise DomainError(msg)
         n = np.arange(r.start - pad, r.stop + pad, dtype=np.float64)
         out.append((-b * k - TWO_PI * n) / a)
     return out
@@ -171,17 +178,20 @@ def subtract_trace(
     return ms._subtract(values, wants, tol, edge)
 
 
-def strip_k0(zl: RealMultiset, lengths: RealMultiset, w: ZeroWindow) -> RealMultiset:
+def strip_k0(
+    zl: RealMultiset, lengths: RealMultiset, w: ZeroWindow, tol: float = TAU_ZERO
+) -> RealMultiset:
     """Remove the k = 0 contribution {-2*n*pi/a : a in lengths} from a zero line.
 
     What remains of an m = 1 zero line is the k = +1/-1 data the ratio
-    recovery peels.  Subtracting an empty length multiset is a no-op.
+    recovery peels.  Points match within ``tol``, as in ``subtract_trace``.
+    Subtracting an empty length multiset is a no-op.
     """
     w = _check_window(w)
     out = zl
     for a, mult in lengths:
         try:
-            out = subtract_trace(out, a, 0.0, (0,), mult, w)
+            out = subtract_trace(out, a, 0.0, (0,), mult, w, tol)
         except UnderflowError as exc:
             raise UnderflowError(
                 f"zero line is missing k=0 trace points of length {a!r}: {exc}"

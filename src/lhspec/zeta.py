@@ -23,7 +23,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConvergenceWarning, DivisionByZero, DomainError, FactorZero, _positive, _whole
+from .errors import (
+    ConvergenceWarning,
+    DivisionByZero,
+    DomainError,
+    FactorZero,
+    _positive,
+    _reduce_holonomy,
+    _whole,
+)
 from .geodesic import PrimitiveClass, Spectrum, spectrum_difference
 from .lie_so31 import rho0
 
@@ -56,6 +64,7 @@ def xi_lambda(lp: LatticePoint, a: float, b: float) -> complex:
     """Semilattice character value exp((m1+m2)*a + i*(m1-m2)*b)."""
     m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     a = _positive(a, "length")
+    _reduce_holonomy(b)  # only checked: the character takes b as given
     try:
         z = cmath.exp(complex((m1 + m2) * a, (m1 - m2) * b))
     except OverflowError:
@@ -76,7 +85,8 @@ def _one_minus_exp_neg(re: float, im: float) -> complex:
 
 def factor_exponent(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> complex:
     """The exponent X of the local factor 1 - exp(-X)."""
-    a, b = float(cls[0]), float(cls[1])
+    a, b = _positive(cls[0], "length"), float(cls[1])
+    _reduce_holonomy(b)  # only checked: the exponent takes b as given
     m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     s = complex(s)
     return complex(

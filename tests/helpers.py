@@ -5,7 +5,18 @@ import math
 
 import numpy as np
 
-from lhspec import CartanParams, FactorZero, PrimitiveClass, Spectrum, UnderflowError, exp_cartan
+from lhspec import (
+    CartanParams,
+    FactorZero,
+    ParseError,
+    PrimitiveClass,
+    RealMultiset,
+    Spectrum,
+    UnderflowError,
+    exp_cartan,
+)
+from lhspec.errors import _whole
+from lhspec.multisets import TAU_ZERO, _count_array
 from lhspec.recovery import _Candidate
 from lhspec.zeros import subtract_trace
 
@@ -369,3 +380,38 @@ def spectrum_difference_reference(classes1, classes2, tol=1e-9):
             left.append((c[0], c[1], want))
     right = [tuple(r) for r in remaining if r[2] > 0]
     return spectrum_reference(left, tol), spectrum_reference(right, tol)
+
+
+def zero_data_reference(data) -> dict:
+    """The zero-line multisets of parsed zero-data JSON, the reference for _load_zero_data.
+
+    Checks each row as the loader did before it caught per row: the value
+    converts, the value is finite, the multiplicity is a nonnegative integer.
+    An integer value past the float range ends in float()'s OverflowError.
+    """
+    if not isinstance(data, dict) or "m0" not in data:
+        raise ParseError('zero data must be an object with an "m0" array (optionally "m1")')
+    out = {}
+    for key in ("m0", "m1"):
+        if key not in data:
+            continue
+        rows = data[key]
+        if not isinstance(rows, list):
+            raise ParseError(f'"{key}" must be an array')
+        values, mults = [], []
+        for i, row in enumerate(rows):
+            where = f'"{key}" entry {i}'
+            if isinstance(row, dict):
+                value, mult = row.get("value"), row.get("multiplicity", 1)
+            else:
+                value, mult = row, 1
+            try:
+                value = float(value)
+            except (TypeError, ValueError):
+                raise ParseError(f"{where}: expected a number or a value object") from None
+            if not math.isfinite(value):
+                raise ParseError(f"{where}: value must be finite, got {value!r}")
+            values.append(value)
+            mults.append(_whole(mult, f"{where}: multiplicity", 0, ParseError))
+        out[key] = RealMultiset._from_arrays(np.array(values), _count_array(mults), tol=TAU_ZERO)
+    return out

@@ -1,8 +1,13 @@
 """Spectrum file formats, JSON emission, complex literals, CLI subcommands."""
 
+import argparse
 import io
 import json
 import math
+import os
+import random
+import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -10,10 +15,19 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lhspec import ComplexMultiset, DomainError, ParseError, RealMultiset, Spectrum
+from lhspec import (
+    ComplexMultiset,
+    DomainError,
+    ParseError,
+    RealMultiset,
+    Spectrum,
+    SpectralError,
+    ZeroWindow,
+    zero_line,
+)
 from lhspec.cli_io import (
     _load_zero_data,
     build_parser,
@@ -25,6 +39,8 @@ from lhspec.cli_io import (
     run_cli,
     serialize_spectrum,
 )
+
+from helpers import zero_data_reference
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -62,6 +78,20 @@ def test_cli_golden(name, code, argv, capsys):
     # repo-relative ones; both parse to the same files, so stdout is identical
     assert run_cli(argv) == code
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
+MAIN_CASES = [
+    c for c in GOLDEN_CASES if c[0] in ("classify.json", "err_not_group.json", "err_bad_header.json")
+]
+
+
+@pytest.mark.parametrize("name,code,argv", MAIN_CASES, ids=[c[0] for c in MAIN_CASES])
+def test_main_process_golden(name, code, argv):
+    # the installed entry point, main(), in a fresh interpreter: stdout, exit code, no stderr
+    env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
+    cmd = [sys.executable, "-c", "from lhspec.cli_io import main; main()", *argv]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (code, (GOLDEN / name).read_text(), "")
 
 
 def test_classify_output_semantics(capsys):
@@ -642,3 +672,151 @@ def test_zero_data_validation(tmp_path, capsys):
         path.write_text(body)
         assert run_cli(["recover", str(path), "--kind", "zeros", "--imbound", "5"]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
+
+
+def test_zero_data_value_past_the_float_range_is_parse_error(tmp_path, capsys):
+    huge = "1" + "0" * 400  # a JSON integer that no float holds
+    path = tmp_path / "z.json"
+    for body, where in (
+        (f'{{"m0": [{huge}]}}', '"m0" entry 0'),
+        (f'{{"m0": [0.0], "m1": [1.0, {{"value": -{huge}, "multiplicity": 2}}]}}', '"m1" entry 1'),
+    ):
+        path.write_text(body)
+        assert run_cli(["recover", str(path), "--kind", "zeros", "--imbound", "5"]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["code"] == "parse_error" and err["message"].startswith(f"{where}: ")
+
+
+# rows of every JSON kind a zero line can hold, valid or not
+json_scalars = (
+    st.floats(width=64)
+    | st.integers(-(2**70), 2**70)
+    | st.sampled_from([10**400, -(10**400), 2**63, 0, -0.0, math.nan, math.inf, -math.inf])
+    | st.sampled_from(["1.5", " 2 ", "-0", "nan", "Infinity", "-inf", "1e400", "0x10", "", "3"])
+    | st.booleans()
+    | st.none()
+)
+zero_rows = json_scalars | st.lists(st.integers(0, 3), max_size=2) | st.fixed_dictionaries(
+    {}, optional={"value": json_scalars, "multiplicity": json_scalars, "other": st.just(1)}
+)
+
+
+def load_outcome(load, data):
+    try:
+        return "value", {k: list(ms) for k, ms in load(data).items()}
+    except SpectralError as exc:
+        return type(exc), str(exc)
+
+
+@given(
+    m0=st.lists(zero_rows, max_size=5),
+    m1=st.none() | st.lists(zero_rows, max_size=5),
+)
+@settings(max_examples=300, deadline=None)
+def test_zero_data_rows_check_as_before(m0, m1):
+    # the loader reads every row as the reference does (same multisets, or the
+    # same error naming the same row and rule); a value past the float range,
+    # which ended in an OverflowError there, is a located parse error here
+    data = {"m0": m0} if m1 is None else {"m0": m0, "m1": m1}
+    parsed = json.loads(json.dumps(data))
+    got = load_outcome(lambda d: load_zero_data(json.dumps(d)), parsed)
+    try:
+        want = load_outcome(zero_data_reference, parsed)
+    except OverflowError:
+        assert got[0] is ParseError
+        assert re.match(r'"m[01]" entry \d+: int too large to convert to float$', got[1])
+        return
+    assert got == want
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def test_run_cli_builds_the_parser_once(monkeypatch, capsys):
+    run_cli(["classify", str(DATA / "boost_rot.json")])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run_cli(["classify", str(DATA / "boost_rot.json")]) == 0
+    assert run_cli(["recover", str(DATA / "small.json"), "--tau", "1"]) == 2  # a usage error
+    capsys.readouterr()
+    assert built == []
+
+
+COMMANDS = ("decompose", "classify", "zeta", "psi", "zeros", "recover", "compare")
+HELP_ARGV = [[], *([c] for c in COMMANDS)]
+
+
+def help_text(parse, argv) -> str:
+    # what --help prints: argparse writes it to stdout and exits 0
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdout", out), pytest.raises(SystemExit) as exit_:
+        parse([*argv, "--help"])
+    assert exit_.value.code == 0
+    return out.getvalue()
+
+
+def test_help_of_the_shared_parser_matches_a_fresh_one(monkeypatch):
+    # the help width is read from COLUMNS when help is formatted, not when the
+    # parser is built, so one cached parser serves every width
+    cases = [(cols, argv) for cols in (40, 80, 200) for argv in HELP_ARGV]
+    random.Random(10).shuffle(cases)
+
+    def shared(argv):
+        raise SystemExit(run_cli(argv))
+
+    for cols, argv in cases:
+        monkeypatch.setenv("COLUMNS", str(cols))
+        fresh = build_parser.__wrapped__()
+        assert help_text(shared, argv) == help_text(fresh.parse_args, argv), (cols, argv)
+
+
+# ---------------------------------------------------------------------------
+# the run's tolerance reaches every peeling stage
+
+
+def noisy_zero_data(spec: Spectrum, w: ZeroWindow, noise: float, seed: int) -> dict:
+    """The m0 and m1 zero lines of spec, one plain number per point, each nonzero
+    point moved by uniform noise in +-noise; 0.0 stays exact (its noisy copy
+    would ask for a length near 2*pi/noise)."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for key, tau in (("m0", 0), ("m1", 1)):
+        values = np.array([v for v, m in zero_line(spec, tau, w) for _ in range(m)])
+        moved = values != 0.0
+        values[moved] += rng.uniform(-noise, noise, int(moved.sum()))
+        out[key] = values.tolist()
+    return out
+
+
+def test_recover_zeros_tol_reaches_the_k0_strip(tmp_path, capsys):
+    spec = Spectrum([(1.3, 0.7, 1), (2.1, 2.0, 2)])
+    w = ZeroWindow(0, 20.0 * math.pi / 1.3)
+    path = tmp_path / "z.json"
+    path.write_text(json.dumps(noisy_zero_data(spec, w, 1e-7, 0)))
+    argv = ["recover", str(path), "--kind", "zeros", "--imbound", repr(w.im_bound), "--tol", "1e-6"]
+    assert run_cli(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    lengths = [(r["value"], r["multiplicity"]) for r in out["recovered_lengths"]]
+    assert [m for _, m in lengths] == [1, 2]
+    assert [v for v, _ in lengths] == pytest.approx([1.3, 2.1], abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# windows are counted before they are allocated
+
+
+@pytest.mark.parametrize("command", ["zeros", "recover"])
+def test_window_of_2_63_points_is_domain_error(command, tmp_path, capsys):
+    # im_bound * length is finite, but its n-range holds about 1e300 points
+    path = tmp_path / "far.csv"
+    path.write_text("length,holonomy,multiplicity\n1e300,0.5,1\n")
+    assert run_cli([command, str(path), "--imbound", "10"]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "domain_error" and "2**63" in err["message"]

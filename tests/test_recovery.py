@@ -345,3 +345,12 @@ def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mul
             break
         cur = got[0].nxt
         avail[got[0].idx][1] -= 1
+
+
+def test_recover_ratios_counts_a_huge_trace_without_len():
+    # a 1e300 length has about 3e300 trace points in the window: counted from the
+    # n-range bounds, never by len(), and refused with a typed error
+    with pytest.raises(DomainError, match=r"2\*\*63"):
+        recover_ratios(
+            RealMultiset.from_values([1e-300]), RealMultiset([(1e300, 1)]), ZeroWindow(0, 10.0)
+        )

@@ -1,10 +1,11 @@
-"""One rule per scalar argument: whole numbers, lengths and tolerances.
+"""One rule per scalar argument: whole numbers, lengths, holonomies and tolerances.
 
-Every entry point that takes a count, an index, a length or a tolerance is
-driven with whole, fractional, non-finite, numpy and out-of-range values.
-A value the rule accepts must give the same result as its plain int (or
-float); any other value must raise the entry point's typed error with the
-rule's message, never an error from int() or a truncated result.
+Every entry point that takes a count, an index, a length, a holonomy or a
+tolerance is driven with whole, fractional, non-finite, numpy and
+out-of-range values.  A value the rule accepts must give the same result as
+its plain int (or float); any other value must raise the entry point's typed
+error with the rule's message, never an error from int() or a truncated
+result.
 """
 
 import io
@@ -32,6 +33,7 @@ from lhspec import (
     SpectralError,
     ZeroWindow,
     class_trace,
+    euler_factor,
     factor_exponent,
     inverse_class,
     log_derivative,
@@ -46,6 +48,7 @@ from lhspec.multisets import multiset_equal
 from lhspec.recovery import recover_lengths, recover_ratios, smo_check
 from lhspec.zeros import subtract_trace
 
+TWO_PI = 2.0 * math.pi
 SPEC = Spectrum([(1.0, 0.5, 1), (1.7, 0.0, 2)])
 W = ZeroWindow(0, 12.0)
 LINE, LENGTHS = zero_line(SPEC, 0, W), SPEC.lengths()
@@ -110,7 +113,45 @@ LENGTH_SITES = [
     Site("power_class length", lambda x: power_class(x, 0.5, 2), DomainError),
     Site("xi_lambda length", lambda x: xi_lambda(LatticePoint(1, 0), x, 0.5), DomainError),
     Site("class_trace length", lambda x: class_trace(x, 0.5, (1,), W), DomainError),
+    Site(
+        "factor_exponent length",
+        lambda x: factor_exponent(1, LatticePoint(0, 1), PrimitiveClass(x, 0.5), 3.0),
+        DomainError,
+    ),
+    Site(
+        "euler_factor length",
+        lambda x: euler_factor(1, LatticePoint(1, 0), PrimitiveClass(x, 0.5), 3.0),
+        DomainError,
+    ),
     Site("window im_bound", lambda x: class_trace(1.0, 0.5, (1,), ZeroWindow(0, x)), DomainError),
+]
+
+
+def csv_holonomy(x) -> Spectrum:
+    return parse_spectrum(f"length,holonomy,multiplicity\n1.0,{x},1\n")
+
+
+def json_holonomy(x) -> Spectrum:
+    return parse_spectrum(f'[{{"length": 1.0, "holonomy": {x}, "multiplicity": 1}}]', "json")
+
+
+HOLONOMY_SITES = [
+    Site("power_class holonomy", lambda x: power_class(1.0, x, 3), DomainError),
+    Site("inverse_class holonomy", lambda x: inverse_class(1.0, x), DomainError),
+    Site("xi_lambda holonomy", lambda x: xi_lambda(LatticePoint(1, 2), 1.0, x), DomainError),
+    Site(
+        "factor_exponent holonomy",
+        lambda x: factor_exponent(1, LatticePoint(0, 1), PrimitiveClass(1.0, x), 3.0),
+        DomainError,
+    ),
+    Site(
+        "euler_factor holonomy",
+        lambda x: euler_factor(1, LatticePoint(1, 0), PrimitiveClass(1.0, x), 3.0),
+        DomainError,
+    ),
+    # a non-finite holonomy in a file is a DomainError of the spectrum rule
+    Site("CSV holonomy", csv_holonomy, DomainError, file="csv"),
+    Site("JSON holonomy", json_holonomy, DomainError, file="json"),
 ]
 
 TOL_SITES = [
@@ -136,6 +177,10 @@ whole_values = st.sampled_from(special) | small
 file_values = st.sampled_from(special + ["3", "3.0"]) | small
 length_values = st.sampled_from(
     [0.5, 2, np.float32(1.5), np.float64(3.0), 0.0, -0.0, -1.0, math.nan, math.inf, -math.inf]
+)
+holonomy_values = st.sampled_from(
+    [0.5, 0.0, -0.0, 7.0, -1e-300, -3.0, 1e300, TWO_PI, np.float32(1.5), np.float64(6.5)]
+    + [math.nan, math.inf, -math.inf, np.float64(math.nan)]
 )
 tol_values = st.sampled_from(
     [0.0, 1e-9, 0.25, 1, np.float64(1e-8), -1e-9, math.nan, math.inf, -math.inf]
@@ -170,11 +215,13 @@ def outcome(call, x):
 RULES = {
     "whole": "must be (an|a nonnegative|a positive) integer, got",
     "length": "must be positive, got",
+    "holonomy": r"holonomy must lie in \[0, 2\*pi\), got",
     "tol": "tolerance must be finite and nonnegative, got",
 }
 CASES = (
     [("whole", s) for s in WHOLE_SITES]
     + [("length", s) for s in LENGTH_SITES]
+    + [("holonomy", s) for s in HOLONOMY_SITES]
     + [("tol", s) for s in TOL_SITES]
 )
 
@@ -189,6 +236,12 @@ def test_scalar_argument_rules(rule, site, data):
         n = as_whole(read)
         accepted = n is not None and (site.low is None or n >= site.low)
         plain = str(n) if site.file else n
+    elif rule == "holonomy":
+        # any finite float is an angle, read mod 2*pi
+        x = data.draw(holonomy_values)
+        given_x, read = in_file(x, site.file) if site.file else (x, x)
+        accepted = math.isfinite(float(read))
+        plain = in_file(float(read), site.file)[0] if site.file else float(x)
     else:
         given_x = data.draw(length_values if rule == "length" else tol_values)
         v = float(given_x)
@@ -217,3 +270,14 @@ def test_power_class_overflow_is_domain_error():
     with pytest.raises(DomainError, match="must be positive, got inf"):
         power_class(1e308, 0.5, 2)
     assert power_class(1e308, 0.5, 1).length == 1e308
+    # a power past the float range, whose length no float holds
+    with pytest.raises(DomainError, match="length of the power must be positive, got inf"):
+        power_class(1.0, 0.5, 10**400)
+
+
+def test_holonomy_reduces_into_its_half_open_range():
+    # -1e-300 % 2pi rounds to 2pi, which the rule reads as 0.0
+    assert power_class(1.0, -1e-300, 1).holonomy == 0.0
+    assert inverse_class(1.0, 1e-300)[1] == 0.0
+    assert power_class(1.0, 4.0, 2).holonomy == 8.0 % TWO_PI
+    assert inverse_class(1.0, 0.0) == (1.0, 0.0)

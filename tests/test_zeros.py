@@ -224,6 +224,33 @@ def test_strip_k0_empty_lengths_is_noop():
     assert out == zl
 
 
+def test_strip_k0_takes_the_tolerance():
+    # every nonzero point moved by 1e-8: only a tolerance above that finds the k = 0 trace
+    spec = Spectrum([(2.0, 1.0, 1)])
+    w = ZeroWindow(0, 12.0)
+    moved = RealMultiset([(v + 1e-8 if v else v, m) for v, m in zero_line(spec, 1, w)])
+    with pytest.raises(UnderflowError):
+        strip_k0(moved, spec.lengths(), w)
+    rest = strip_k0(moved, spec.lengths(), w, tol=1e-6)
+    assert rest.total() == len(class_trace(2.0, 1.0, (1, -1), w))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda spec, w: zero_line(spec, 0, w),
+        lambda spec, w: zero_multiset(spec, 0, w),
+        lambda spec, w: class_trace(1e300, 0.5, (0,), w),
+        lambda spec, w: subtract_trace(RealMultiset(), 1e300, 0.5, (0,), 1, w),
+    ],
+    ids=["zero_line", "zero_multiset", "class_trace", "subtract_trace"],
+)
+def test_window_of_2_63_points_is_counted_not_allocated(build):
+    # im_bound * length is finite, so the n-range exists, but it holds about 1e300 points
+    with pytest.raises(DomainError, match=r"2\*\*63"):
+        build(Spectrum([(1e300, 0.5, 1)]), ZeroWindow(0, 10.0))
+
+
 def test_strip_k0_mismatched_lengths_underflows():
     spec = Spectrum([(2.0, 1.0, 1)])
     w = ZeroWindow(0, 6.0)
