@@ -9,13 +9,14 @@ ratio peeling is a backtracking search over attributions.  The search commits
 only when exactly one attribution extends to a complete, consistent peeling;
 genuinely undecidable windows raise AmbiguousTrace instead of guessing.
 
-At each search step every candidate attribution is probed before its trace
-is built: a few interior trace points, computed by the trace's own
-expression (-b*k - 2*n*pi)/a, must each be present with the candidate's
-multiplicity.  All candidates' points are tested in one pass, and only the
-survivors' traces are subtracted.  An interior point missing from the data
-would make that subtraction underflow, so the probe never rejects a
-candidate the subtraction would accept.
+Each search step decides from the data and from counts before it
+subtracts.  It probes every candidate attribution in one pass: a few
+interior trace points, computed by the trace's own expression
+(-b*k - 2*n*pi)/a, must each be present with the candidate's multiplicity,
+or the subtraction would underflow.  It cuts the branch when the survivors
+cannot cover every copy of the minimal value, so ties among commensurable
+classes do not grow exponentially.  Then each attribution's trace is
+subtracted once.
 
 Everything works on finite windows: a peeled class must show its first two
 trace points inside the window (IncompleteWindow otherwise), and subtraction
@@ -139,7 +140,7 @@ class _SearchCtx:
 
 
 class _Candidate(NamedTuple):
-    """One class copy that explains the minimal value c."""
+    """One class copy that may explain the minimal value c."""
 
     kind: str  # "ratio", or "zero" for the doubled k = 0 trace of a zero-holonomy class
     idx: int  # index into the available lengths
@@ -149,32 +150,30 @@ class _Candidate(NamedTuple):
     reps: int  # trace copies one class copy leaves in the residual
     per: int  # points at c one class copy removes: 2 when b = 0 or b = pi
     trace_points: int
-    nxt: RealMultiset  # the residual with one class copy removed
 
 
 def _candidates(
-    cur: RealMultiset, avail: list[list], c: float, mult: int, ctx: _SearchCtx
+    cur: RealMultiset, avail: list[list], c: float, first: int, ctx: _SearchCtx
 ) -> list[_Candidate]:
-    """Attributions of minimal value c that survive a one-copy subtraction.
+    """Attributions of minimal value c, from available length ``first`` on, that pass the probe.
 
     Regular candidate: a known length a with canonical holonomy b = c*a in
     (0, pi].  Degenerate candidate: c is the first positive point 2*pi/a of
     the doubled k = 0 trace left behind by a zero-holonomy class.
 
-    Each candidate is probed before its trace is built: a few of its
-    interior trace points must each find ``reps`` copies within tol in
-    ``cur``.  The points are computed by the trace's own expression
-    (-b*k - 2*pi*n)/a, so they equal trace values bit for bit, and interior
-    means inside the zone ``subtract_trace`` removes strictly; a candidate
-    that fails the probe would therefore underflow there.  All probe points
-    of all candidates are counted in one pass, and only the survivors are
-    subtracted.
+    Points are computed by the trace's own expression (-b*k - 2*pi*n)/a,
+    so they equal trace values bit for bit.  ``per`` adds ``reps`` for each
+    k whose point nearest c lies within tol of it.  The probe asks a few
+    interior trace points (inside the zone ``subtract_trace`` removes
+    strictly) for ``reps`` copies each, all candidates in one pass; a
+    candidate that fails it would underflow.  Nothing is subtracted here.
     """
     im_bound, lim = ctx.w.im_bound, ctx.w.im_bound - ctx.band
-    pending = []  # (kind, idx, a, b, ks, reps, trace points) per candidate
+    pending = []
     points: list[float] = []
     owner: list[int] = []  # the pending candidate of each probe point
-    for idx, (a, rem) in enumerate(avail):
+    for idx in range(first, len(avail)):
+        a, rem = avail[idx]
         if rem <= 0:
             continue
         b1 = c * a
@@ -189,8 +188,11 @@ def _candidates(
         if abs(b1 - TWO_PI) <= slack:
             tries.append(("zero", 0.0, (0,), 2))
         for kind, b, ks, reps in tries:
-            size = 0
+            size = per = 0
             for k in ks:
+                n = round((-b * k - c * a) / TWO_PI)
+                if abs((-b * k - TWO_PI * n) / a - c) <= ctx.tol:
+                    per += reps
                 r = _n_range(a, b, k, im_bound)
                 count = r.stop - r.start  # not len(r), which fails past 2**63
                 size += count
@@ -201,52 +203,30 @@ def _candidates(
                     if abs(v) <= lim:
                         points.append(v)
                         owner.append(len(pending))
-            pending.append((kind, idx, a, b, ks, reps, size))
+            pending.append(_Candidate(kind, idx, a, b, ks, reps, per, size))
     if not pending:
         return []
-    need = np.array([pending[i][5] for i in owner], dtype=np.int64)  # reps per point
+    need = np.array([pending[i].reps for i in owner], dtype=np.int64)  # reps per point
     short = cur.counts_near(np.array(points), ctx.tol) < need
     failed = {owner[j] for j in np.flatnonzero(short).tolist()}
-    found = []
-    for i, (kind, idx, a, b, ks, reps, size) in enumerate(pending):
-        if i in failed:
-            continue
-        try:
-            nxt = subtract_trace(cur, a, b, ks, reps, ctx.w, ctx.tol)
-        except UnderflowError:
-            continue
-        per = mult - nxt.count_near(c, 0.0)
-        if per > 0:
-            found.append(_Candidate(kind, idx, a, b, ks, reps, per, size, nxt))
-    return found
+    return [cd for i, cd in enumerate(pending) if cd.per and i not in failed]
 
 
 def _attribute(cur, avail, ratios, audit, c: float, cd: _Candidate, units: int, ctx: _SearchCtx):
     """Charge ``units`` class copies of ``cd`` with points at c; UnderflowError if absent.
 
-    A ratio carries the class multiplicity; zero holonomy keeps the doubled count.
+    One ``subtract_trace`` of all their trace copies.  A ratio carries the
+    class multiplicity; zero holonomy keeps the doubled count.
     """
     copies = units * cd.reps
-    if units == 1:
-        nxt = cd.nxt
-    else:
-        nxt = subtract_trace(cur, cd.a, cd.b, cd.ks, copies, ctx.w, ctx.tol)
+    nxt = subtract_trace(cur, cd.a, cd.b, cd.ks, copies, ctx.w, ctx.tol)
     avail = [list(p) for p in avail]
     avail[cd.idx][1] -= units
     emitted = units if cd.kind == "ratio" else copies
     ratios = ratios + (((c if cd.kind == "ratio" else 0.0), emitted),)
-    audit = audit + (
-        {
-            "smallest": c,
-            "kind": cd.kind,
-            "length": cd.a,
-            "holonomy": cd.b,
-            "multiplicity": emitted,
-            "trace_points": cd.trace_points,
-            "removed": cur.total() - nxt.total(),
-        },
-    )
-    return nxt, avail, ratios, audit
+    record = dict(smallest=c, kind=cd.kind, length=cd.a, holonomy=cd.b, multiplicity=emitted)
+    record.update(trace_points=cd.trace_points, removed=cur.total() - nxt.total())
+    return nxt, avail, ratios, audit + (record,)
 
 
 def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
@@ -255,6 +235,15 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
     ``last`` = (value, candidate index) canonicalizes how equal copies of the
     same minimal value split across candidates (nondecreasing index order),
     so permutations of the same split are explored once.
+
+    A branch is cut at c when the candidates' available copies cannot
+    remove all ``mult`` points at c.  This only meets sooner the dead end
+    the branch would reach: peeling only removes points, so no candidate at
+    c appears further down and a failed one stays failed; a class
+    attributed at c' > c has no positive point below c', so only
+    attributions made at c remove points at c; and one copy of a candidate
+    removes at most ``per`` of them.  So c stays the minimal value, and
+    every leaf of the cut branch is a dead end at c.
     """
     while len(ctx.distinct) < 2:
         mp = cur.min_positive()
@@ -265,30 +254,37 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
                     ctx.distinct.append((ms, audit))
             return
         c, mult = mp
-        cands = _candidates(cur, avail, c, mult, ctx)
-        if last is not None and abs(last[0] - c) <= ctx.tol:
-            cands = [cd for cd in cands if cd.idx >= last[1]]
-        if not cands:
+        first = last[1] if last is not None and abs(last[0] - c) <= ctx.tol else 0
+        cands = _candidates(cur, avail, c, first, ctx)
+        if sum(avail[cd.idx][1] * cd.per for cd in cands) < mult:
             return ctx.stuck(c)
-        if len(cands) == 1:
-            # forced: attribute the whole multiplicity at c in one batch
-            cd = cands[0]
-            units, short = divmod(mult, cd.per)
-            if short or avail[cd.idx][1] < units:
+        if len(cands) > 1:
+            # tie: charge one unit to each candidate; those that subtract branch
+            branches = []
+            for cd in cands:
+                try:
+                    branches.append((cd, _attribute(cur, avail, ratios, audit, c, cd, 1, ctx)))
+                except UnderflowError:
+                    pass
+            if not branches:
                 return ctx.stuck(c)
-            try:
-                cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, c, cd, units, ctx)
-            except UnderflowError:
-                return ctx.stuck(c)
-            last = None
-            continue
-        # tie: several attributions survive locally; branch one unit at a time
-        for cd in cands:
-            branch = _attribute(cur, avail, ratios, audit, c, cd, 1, ctx)
-            _peel_ratios(*branch, ctx, last=(c, cd.idx))
-            if len(ctx.distinct) >= 2:
+            if len(branches) > 1:
+                for cd, branch in branches:
+                    _peel_ratios(*branch, ctx, last=(c, cd.idx))
+                    if len(ctx.distinct) >= 2:
+                        return
                 return
-        return
+            cands = [branches[0][0]]
+        # forced: attribute the whole multiplicity at c in one batch
+        cd = cands[0]
+        units, short = divmod(mult, cd.per)
+        if short or avail[cd.idx][1] < units:
+            return ctx.stuck(c)
+        try:
+            cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, c, cd, units, ctx)
+        except UnderflowError:
+            return ctx.stuck(c)
+        last = None
 
 
 def recover_ratios(

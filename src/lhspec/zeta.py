@@ -65,8 +65,11 @@ def xi_lambda(lp: LatticePoint, a: float, b: float) -> complex:
     m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     a = _positive(a, "length")
     _reduce_holonomy(b)  # only checked: the character takes b as given
+    phase = (m1 - m2) * b
+    if not math.isfinite(phase):  # cmath.exp would end in "math domain error"
+        raise DomainError(f"phase of {(m1, m2)} at holonomy {b!r} overflows a float")
     try:
-        z = cmath.exp(complex((m1 + m2) * a, (m1 - m2) * b))
+        z = cmath.exp(complex((m1 + m2) * a, phase))
     except OverflowError:
         z = complex(math.inf)
     if cmath.isinf(z):  # exp of an infinite real part is inf without an OverflowError
@@ -89,10 +92,13 @@ def factor_exponent(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -
     _reduce_holonomy(b)  # only checked: the exponent takes b as given
     m1, m2 = (_whole(m, "lattice index", 0) for m in lp)
     s = complex(s)
-    return complex(
+    x = complex(
         (m1 + m2) * a + s.real * a,
         k * b + (m1 - m2) * b + s.imag * a,
     )
+    if not cmath.isfinite(x):
+        raise DomainError(f"exponent of factor {(k, m1, m2)} at s = {s!r} is not finite")
+    return x
 
 
 def euler_factor(k: int, lp: LatticePoint, cls: PrimitiveClass, s: complex) -> complex:

@@ -2,22 +2,27 @@
 
 import bisect
 import math
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from lhspec import (
+    AmbiguousTrace,
     CartanParams,
     FactorZero,
+    IncompleteWindow,
+    NegativeMultiplicity,
     ParseError,
     PrimitiveClass,
     RealMultiset,
     Spectrum,
     UnderflowError,
     exp_cartan,
+    multiset_equal,
 )
 from lhspec.errors import _whole
 from lhspec.multisets import TAU_ZERO, _count_array
-from lhspec.recovery import _Candidate
 from lhspec.zeros import subtract_trace
 
 TWO_PI = 2.0 * math.pi
@@ -184,11 +189,26 @@ def _probe_points_reference(trace, im_bound, band):
     return sorted(set(interior[picks].tolist()))
 
 
+class CandidateReference(NamedTuple):
+    """One candidate of candidates_reference, with the residual its trial copy leaves."""
+
+    kind: str
+    idx: int
+    a: float
+    b: float
+    ks: tuple
+    reps: int
+    per: int  # points at c the trial copy removed
+    trace_points: int
+    nxt: RealMultiset
+
+
 def candidates_reference(cur, avail, c, mult, ctx):
     """Ratio-peeling candidates with one probe trace per candidate, the reference for _candidates.
 
     Builds each candidate's unpadded trace, counts a few sorted interior
-    points of it one by one, and subtracts the survivors.
+    points of it one by one, and subtracts one class copy of each survivor;
+    a candidate is kept when that trial subtraction removes points at c.
     """
     found = []
 
@@ -203,7 +223,7 @@ def candidates_reference(cur, avail, c, mult, ctx):
             return
         per = mult - nxt.count_near(c, 0.0)
         if per > 0:
-            found.append(_Candidate(kind, idx, a, b, ks, reps, per, trace.size, nxt))
+            found.append(CandidateReference(kind, idx, a, b, ks, reps, per, trace.size, nxt))
 
     for idx, (a, rem) in enumerate(avail):
         if rem <= 0:
@@ -219,6 +239,89 @@ def candidates_reference(cur, avail, c, mult, ctx):
         if abs(b1 - TWO_PI) <= slack:
             probe("zero", idx, a, 0.0, (0,), 2)
     return found
+
+
+def recover_ratios_reference(cur, lengths, w, tol):
+    """Ratio peeling as a DFS over trial subtractions, the reference for recover_ratios.
+
+    Every candidate has subtracted one class copy before the search
+    chooses.  A lone candidate takes the whole multiplicity at c in one
+    batch; several branch one unit at a time in nondecreasing index order,
+    and a dead end is found only by running out of candidates.  Returns
+    (ratios, audit records), or raises the typed error recover_ratios
+    raises, with its message.
+    """
+    ctx = SimpleNamespace(w=w, tol=tol, band=tol * max(1.0, w.im_bound), window_short=False)
+    distinct, stuck = [], []
+
+    def attribute(cur, avail, ratios, audit, c, cd, units):
+        copies = units * cd.reps
+        nxt = cd.nxt if units == 1 else subtract_trace(cur, cd.a, cd.b, cd.ks, copies, w, tol)
+        avail = [list(p) for p in avail]
+        avail[cd.idx][1] -= units
+        emitted = units if cd.kind == "ratio" else copies
+        record = {
+            "smallest": c,
+            "kind": cd.kind,
+            "length": cd.a,
+            "holonomy": cd.b,
+            "multiplicity": emitted,
+            "trace_points": cd.trace_points,
+            "removed": cur.total() - nxt.total(),
+        }
+        ratios = ratios + (((c if cd.kind == "ratio" else 0.0), emitted),)
+        return nxt, avail, ratios, audit + (record,)
+
+    def peel(cur, avail, ratios, audit, last=None):
+        while len(distinct) < 2:
+            mp = cur.min_positive()
+            if mp is None:
+                if cur.total() == 0:
+                    ms = RealMultiset(ratios, tol)
+                    if not any(multiset_equal(ms, seen, tol) for seen, _ in distinct):
+                        distinct.append((ms, audit))
+                return
+            c, mult = mp
+            cands = candidates_reference(cur, avail, c, mult, ctx)
+            if last is not None and abs(last[0] - c) <= tol:
+                cands = [cd for cd in cands if cd.idx >= last[1]]
+            if len(cands) > 1:
+                for cd in cands:
+                    peel(*attribute(cur, avail, ratios, audit, c, cd, 1), last=(c, cd.idx))
+                    if len(distinct) >= 2:
+                        return
+                return
+            if not cands:
+                return stuck.append(c)
+            cd = cands[0]
+            units, short = divmod(mult, cd.per)
+            if short or avail[cd.idx][1] < units:
+                return stuck.append(c)
+            try:
+                cur, avail, ratios, audit = attribute(cur, avail, ratios, audit, c, cd, units)
+            except UnderflowError:
+                return stuck.append(c)
+            last = None
+
+    peel(cur, [[a, m] for a, m in lengths], (), ())
+    stuck_at = stuck[0] if stuck else None
+    if not distinct:
+        if ctx.window_short:
+            raise IncompleteWindow(
+                f"window |Im(s)| <= {w.im_bound!r} is too small to confirm a trace "
+                f"attribution (stuck at {stuck_at!r})"
+            )
+        raise NegativeMultiplicity(
+            f"no consistent attribution of the k=+1/-1 data; smallest unexplained "
+            f"value {stuck_at!r}"
+        )
+    if len(distinct) > 1:
+        raise AmbiguousTrace(
+            f"window data admits {len(distinct)} distinct ratio multisets "
+            f"(e.g. {distinct[0][0]!r} vs {distinct[1][0]!r}); refusing to guess"
+        )
+    ms, audit = distinct[0]
+    return ms, list(audit)
 
 
 def match_reference(av, bv, tol):

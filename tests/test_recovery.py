@@ -1,6 +1,8 @@
 """Multiset peeling: length recovery, ratio recovery, end-to-end comparison."""
 
+import json
 import math
+import signal
 
 import pytest
 from hypothesis import given, settings
@@ -13,17 +15,21 @@ from lhspec import (
     NegativeMultiplicity,
     RealMultiset,
     Spectrum,
+    SpectralError,
+    UnderflowError,
     ZeroWindow,
     class_trace,
     multiset_equal,
     recover_lengths,
     recover_ratios,
+    run_cli,
     smo_check,
     strip_k0,
     zero_line,
 )
-
+from lhspec import recovery
 from lhspec.recovery import _candidates, _SearchCtx
+from lhspec.zeros import subtract_trace
 
 from helpers import (
     TWO_PI,
@@ -31,6 +37,7 @@ from helpers import (
     commensurable_spectrum,
     expected_ratio_pairs,
     rand_spectrum,
+    recover_ratios_reference,
 )
 
 PI = math.pi
@@ -329,8 +336,9 @@ def test_recovery_rejects_bad_tolerance(tol):
 @settings(max_examples=100, deadline=None)
 def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mults, reach, tol):
     # each peeling state along the path that charges one class copy to the
-    # first candidate: the same candidates as one probe trace per candidate,
-    # and the same window flag, which the smaller windows raise
+    # first candidate: the reference's candidates, field for field, plus only
+    # candidates whose one-copy subtraction underflows; and the same window
+    # flag, which the smaller windows raise
     spec = Spectrum(zip(lengths, holonomies, mults))
     w = ZeroWindow(0, reach * PI / spec.min_length())
     cur = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
@@ -338,13 +346,140 @@ def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mul
     while (mp := cur.min_positive()) is not None:
         c, mult = mp
         ctxs = [_SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound)) for _ in range(2)]
-        got = _candidates(cur, avail, c, mult, ctxs[0])
-        assert got == candidates_reference(cur, avail, c, mult, ctxs[1])
+        got = _candidates(cur, avail, c, 0, ctxs[0])
+        want = candidates_reference(cur, avail, c, mult, ctxs[1])
+        kept = []
+        for cd in got:
+            try:
+                subtract_trace(cur, cd.a, cd.b, cd.ks, cd.reps, w, tol)
+            except UnderflowError:
+                continue
+            kept.append(tuple(cd))
+        assert kept == [tuple(cd)[:-1] for cd in want]
         assert ctxs[0].window_short == ctxs[1].window_short
-        if not got:
+        if not want:
             break
-        cur = got[0].nxt
-        avail[got[0].idx][1] -= 1
+        cd = want[0]
+        cur = subtract_trace(cur, cd.a, cd.b, cd.ks, cd.reps, w, tol)
+        avail[cd.idx][1] -= 1
+
+
+def with_audit(cur, lengths, w, tol):
+    audit = []
+    return recover_ratios(cur, lengths, w, tol, audit), audit
+
+
+def ratio_outcome(search, *args):
+    """The search's (ratio entries, audit records), or its error's type and message."""
+    try:
+        got, audit = search(*args)
+    except SpectralError as exc:
+        return type(exc), str(exc)
+    return got.entries, audit
+
+
+@st.composite
+def holonomy_for(draw, a):
+    # the j*a draws make classes of different lengths share one ratio j
+    return draw(
+        st.sampled_from([0.0, PI])
+        | st.floats(0.1, TWO_PI - 0.1)
+        | st.integers(1, 3).map(lambda j: j * a % TWO_PI)
+    )
+
+
+@st.composite
+def peeling_inputs(draw):
+    lengths = draw(
+        st.sampled_from(
+            [(1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 3.0), (1.0, 1 + 1e-10, 2.0), (0.7, 1.4, 2.1, 2.8)]
+        )
+    )
+    rows = [(a, draw(holonomy_for(a)), draw(st.integers(1, 3))) for a in lengths]
+    return rows, draw(st.floats(0.3, 20.0)), draw(st.sampled_from([1e-9, 1e-8, 1e-6]))
+
+
+@given(peeling_inputs())
+@settings(max_examples=150, deadline=None)
+def test_recover_ratios_matches_unpruned_search_reference(inputs):
+    # pruning by count and subtracting once per attribution change no
+    # ratio, no audit record and no error of the search that tried every
+    # candidate by a trial subtraction
+    rows, reach, tol = inputs
+    spec = Spectrum(rows)
+    w = ZeroWindow(0, reach * PI / spec.min_length())
+    lengths = spec.lengths()
+    try:
+        cur = strip_k0(zero_line(spec, 1, w), lengths, w, tol)
+    except SpectralError:
+        return
+    want = ratio_outcome(recover_ratios_reference, cur, lengths, w, tol)
+    assert ratio_outcome(with_audit, cur, lengths, w, tol) == want
+
+
+def tied_family(n, m):
+    # every class (j, (pi/2) j/n) has the ratio pi/(2n)
+    return Spectrum([(float(j), PI / 2 * j / n, m) for j in range(1, n + 1)])
+
+
+@pytest.mark.parametrize("n, m", [(16, 1), (24, 1), (4, 50)])
+def test_tied_classes_are_cut_by_count(n, m, monkeypatch):
+    # a tie branch that meets its dead ends only by subtracting visits every
+    # increasing run of candidates, 3 * 2**n calls; counting what the
+    # candidates can still remove at c cuts each dead branch at once
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise RuntimeError("ratio search passed 1,000 _candidates calls")
+        return real(*args)
+
+    real = recovery._candidates
+    monkeypatch.setattr(recovery, "_candidates", counted)
+    got = roundtrip_ratios(tied_family(n, m))
+    assert multiset_equal(got, RealMultiset([(PI / (2 * n), n * m)]), 1e-9)
+
+
+def test_tied_classes_recover_through_the_cli(tmp_path, capsys):
+    path = tmp_path / "tied.csv"
+    rows = "".join(f"{a!r},{b!r},{m}\n" for a, b, m in tied_family(24, 1))
+    path.write_text("length,holonomy,multiplicity\n" + rows)
+
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("recover on 24 tied classes ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code = run_cli(["recover", str(path)])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["status"] in ("EXACT", "TOLERANT")
+    [ratio] = out["recovered_ratios"]
+    assert abs(ratio["value"] - PI / 48) <= 1e-9 and ratio["multiplicity"] == 24
+
+
+def test_each_forced_batch_subtracts_once(monkeypatch):
+    spec = Spectrum([(1.0, 0.5, 3), (2.0, 1.3, 2)])
+    w = window_for(spec)
+    cur = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1:5])
+        return real(*args)
+
+    real = recovery.subtract_trace
+    monkeypatch.setattr(recovery, "subtract_trace", counted)
+    got = recover_ratios(cur, spec.lengths(), w)
+    assert multiset_equal(got, RealMultiset([(0.5, 3), (0.65, 2)]), 1e-9)
+    assert [(a, mult) for a, _, _, mult in calls] == [(1.0, 3), (2.0, 2)]
 
 
 def test_recover_ratios_counts_a_huge_trace_without_len():

@@ -8,6 +8,7 @@ error with the rule's message, never an error from int() or a truncated
 result.
 """
 
+import cmath
 import io
 import json
 import math
@@ -264,6 +265,18 @@ def test_xi_lambda_overflow_is_domain_error():
     with pytest.raises(DomainError, match="overflows"):
         xi_lambda(LatticePoint(2, 0), 1e308, 0.5)  # (m1 + m2) * a is inf itself
     assert math.isfinite(abs(xi_lambda(LatticePoint(700, 0), 1.0, 0.5)))
+
+
+def test_phase_overflow_is_domain_error():
+    # a finite holonomy whose phase (m1 - m2) * b, or whose exponent's
+    # imaginary part, is past the float range
+    with pytest.raises(DomainError, match="overflows"):
+        xi_lambda(LatticePoint(2, 0), 1.0, 1e308)
+    for site in (factor_exponent, euler_factor):
+        with pytest.raises(DomainError, match="is not finite"):
+            site(1, LatticePoint(1, 0), PrimitiveClass(1.0, 1e308), 3.0)
+    assert xi_lambda(LatticePoint(1, 0), 1.0, 1e308) == cmath.exp(complex(1.0, 1e308))
+    assert factor_exponent(0, LatticePoint(1, 0), PrimitiveClass(1.0, 1e308), 3.0) == 4 + 1e308j
 
 
 def test_power_class_overflow_is_domain_error():
