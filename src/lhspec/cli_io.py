@@ -461,7 +461,3 @@ def run_cli(argv: Iterable[str] | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
-
-
-if __name__ == "__main__":
-    main()

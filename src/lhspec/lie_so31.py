@@ -9,6 +9,8 @@ the B block spanning the maximal compact subalgebra k = so(3) and the boost
 vector u spanning its orthogonal complement p.  The distinguished boost axis
 is the (3,4) plane: H0 below is the unit generator of a_p.  All splits here
 are exact linear projections in fixed bases -- no iteration, no Gram-Schmidt.
+Membership is checked by LieElement alone; the splits take their input
+through it and check their parts at the tolerance it was checked at.
 """
 
 from __future__ import annotations
@@ -50,9 +52,12 @@ def in_algebra(A, tol: float = TAU_ALG) -> bool:
 
 
 class LieElement:
-    """A validated element of so(3,1), wrapping a read-only 4x4 array."""
+    """A validated element of so(3,1), wrapping a read-only 4x4 array.
 
-    __slots__ = ("matrix",)
+    ``tol`` is the membership tolerance the matrix was checked at.
+    """
+
+    __slots__ = ("matrix", "tol")
 
     def __init__(self, matrix, tol: float = TAU_ALG):
         _check_tol(tol, DomainError)
@@ -66,6 +71,7 @@ class LieElement:
             raise NotInAlgebra(f"A^T J + J A residual {r:.3e} exceeds tolerance {tol:.1e}")
         m.flags.writeable = False
         self.matrix = m
+        self.tol = tol
 
     def __repr__(self) -> str:
         return f"LieElement({self.matrix.tolist()})"
@@ -78,6 +84,11 @@ class LieElement:
 
     def __neg__(self) -> "LieElement":
         return LieElement(-self.matrix)
+
+
+def _element(x) -> LieElement:
+    # the membership gate of the splits: a raw array is checked at TAU_ALG
+    return x if isinstance(x, LieElement) else LieElement(x)
 
 
 def bracket(x, y) -> LieElement:
@@ -96,12 +107,14 @@ def cartan_split(x) -> tuple[LieElement, LieElement]:
 
     k is the skew part (rotation block, zero boost column); p is the
     symmetric part (boost column, zero 3x3 block).  The parts recombine
-    to x exactly up to rounding in the halving.
+    to x exactly up to rounding in the halving.  x is a LieElement, or an
+    array checked at TAU_ALG; the parts are checked at the tolerance of x.
     """
-    m = _mat(x)
+    x = _element(x)
+    m = x.matrix
     k = (m - m.T) / 2.0
     p = (m + m.T) / 2.0
-    return LieElement(k), LieElement(p)
+    return LieElement(k, x.tol), LieElement(p, x.tol)
 
 
 def n_matrix(a: float, b: float) -> np.ndarray:
@@ -132,17 +145,16 @@ def iwasawa_split(x) -> tuple[LieElement, LieElement, LieElement]:
     In the fixed bases the 6-parameter linear system is triangular: the
     last column of x reads off the n parameters (rows 1, 2) and the H0
     coefficient (row 3); k is the remainder, landing in the rotation block.
+    x is a LieElement, or an array checked at TAU_ALG; the parts are checked
+    at the tolerance of x.
     """
-    m = _mat(x)
-    if not in_algebra(m):
-        raise NotInAlgebra(
-            f"A^T J + J A residual {algebra_residual(m):.3e} exceeds tolerance {TAU_ALG:.1e}"
-        )
+    x = _element(x)
+    m = x.matrix
     a, b, alpha = m[0, 3], m[1, 3], m[2, 3]
     n = n_matrix(a, b)
     a_p = alpha * H0
     k = m - a_p - n
-    return LieElement(k), LieElement(a_p), LieElement(n)
+    return LieElement(k, x.tol), LieElement(a_p, x.tol), LieElement(n, x.tol)
 
 
 class CartanParams(NamedTuple):

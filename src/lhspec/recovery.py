@@ -40,6 +40,7 @@ from .errors import (
     SpectralError,
     UnderflowError,
     _check_tol,
+    _whole,
 )
 from .geodesic import Spectrum, spectrum_difference
 from .multisets import (
@@ -49,8 +50,7 @@ from .multisets import (
     match_multisets,
     multiset_equal,
 )
-from .zeros import ZeroWindow, _check_window, _n_range, strip_k0, subtract_trace, zero_line
-from .zeta import _index
+from .zeros import ZeroWindow, _n_range, strip_k0, subtract_trace, zero_line
 
 __all__ = [
     "RecoveryReport",
@@ -78,7 +78,6 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
     passed as ``audit`` receives one record per iteration (for conservation
     checks: removed == mu * trace size away from the window edge).
     """
-    w = _check_window(w)
     cur = _coerce(z, _check_tol(tol, DomainError))
     band = tol * max(1.0, w.im_bound)
     out: list[tuple[float, int]] = []
@@ -307,7 +306,6 @@ def recover_ratios(
     (one copy per k = +1 and -1); they are reported as ratio 0 carrying that
     leftover multiplicity (twice the class multiplicity).
     """
-    w = _check_window(w)
     cur = _coerce(z_pm, _check_tol(tol, DomainError))
     lengths = _coerce(lengths, tol)
     ctx = _SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound))
@@ -394,9 +392,8 @@ def smo_check(
     is EXACT; equality within tol is TOLERANT; anything else (including
     recovery errors) is FAILED with diagnostics.
     """
-    w = _check_window(w)
     _check_tol(tol, DomainError)
-    tau = _index(tau, "twist index")
+    tau = _whole(tau, "twist index", 0)
     s1, s2 = spectrum_difference(spec1, spec2)
     diagnostics: list[str] = []
     if s1 or s2:

@@ -8,7 +8,8 @@ the factor indexed by (k, m1, m2) and a class (a, b) this pins s to
 so the zero set is a union of arithmetic progressions up the vertical lines
 Re(s) = 0, -1, -2, ...  Everything here is windowed: |Im(s)| <= im_bound
 (called Lambda in the recovery contracts), with exact integer n-ranges so a
-windowed multiset is complete for its window by construction.
+windowed multiset is complete for its window by construction.  A ZeroWindow
+is checked when it is made, and the functions that take one trust it.
 """
 
 from __future__ import annotations
@@ -21,21 +22,32 @@ import numpy as np
 from .errors import DomainError, UnderflowError, _check_tol, _positive, _whole
 from .geodesic import Spectrum
 from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset
-from .zeta import _index
 
 TWO_PI = 2.0 * math.pi
 
 
-class ZeroWindow(NamedTuple):
-    """Window: m1 + m2 <= max_m on the lattice, |Im(s)| <= im_bound."""
-
+class _WindowFields(NamedTuple):
     max_m: int
     im_bound: float
 
 
-def _check_window(w) -> ZeroWindow:
-    w = ZeroWindow(*w)
-    return ZeroWindow(_whole(w.max_m, "window max_m", 0), _positive(w.im_bound, "window im_bound"))
+class ZeroWindow(_WindowFields):
+    """Window: m1 + m2 <= max_m on the lattice, |Im(s)| <= im_bound.
+
+    Checked when made: DomainError unless max_m is a nonnegative integer and
+    im_bound positive and finite.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, max_m: int, im_bound: float):
+        return super().__new__(
+            cls, _whole(max_m, "window max_m", 0), _positive(im_bound, "window im_bound")
+        )
+
+    @classmethod
+    def _make(cls, iterable) -> "ZeroWindow":  # _replace builds through _make
+        return cls(*iterable)
 
 
 def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
@@ -76,7 +88,6 @@ def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0)
 
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
     """All windowed imaginary parts (-b*k - 2*n*pi)/a for k in ks (with repeats)."""
-    w = _check_window(w)
     return _trace(a, b, ks, w.im_bound).tolist()
 
 
@@ -86,8 +97,7 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     Runs over k in {-m..m}, lattice points with m1 + m2 <= max_m, and all
     in-window integers n; coincident values merge with exact multiplicities.
     """
-    w = _check_window(w)
-    tau_m = _index(tau, "twist index")
+    tau_m = _whole(tau, "twist index", 0)
     # one progression per (class, k, m1, m2) in this order, which decides the
     # sign of a zero imaginary part where -0.0 and 0.0 coincide
     ims: list[np.ndarray] = []
@@ -116,8 +126,7 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     These are the class traces (-b*k - 2*n*pi)/a over k in {-m..m}; with
     m = 0 the slice degenerates to the pure length data {2*n*pi/a}.
     """
-    w = _check_window(w)
-    tau_m = _index(tau, "twist index")
+    tau_m = _whole(tau, "twist index", 0)
     ks = range(-tau_m, tau_m + 1)
     traces = [
         _trace(a, b, ks, w.im_bound)
@@ -159,7 +168,6 @@ def subtract_trace(
     Raises ValueError when ``mult`` is not a nonnegative integer or ``tol``
     is negative or not finite, as ``RealMultiset.subtract`` does.
     """
-    w = _check_window(w)
     mult = _whole(mult, "multiplicity", 0, ValueError)
     band = _check_tol(tol, ValueError) * max(1.0, w.im_bound)
     values = _trace(a, b, ks, w.im_bound, pad=1)
@@ -187,7 +195,6 @@ def strip_k0(
     recovery peels.  Points match within ``tol``, as in ``subtract_trace``.
     Subtracting an empty length multiset is a no-op.
     """
-    w = _check_window(w)
     out = zl
     for a, mult in lengths:
         try:

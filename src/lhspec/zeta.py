@@ -6,8 +6,9 @@ the triple product over k in {-m..m}, classes p, and semilattice points
 
     1 - exp(-X),   X = i*k*b(p) + (m1+m2)*a(p) + i*(m1-m2)*b(p) + s*a(p),
 
-each lattice point entering with exponent 1.  All factors are evaluated on
-one numpy grid over (class, k, m1, m2), and products as exact (correctly
+each lattice point entering with exponent 1.  The twist index m and the
+truncation order are plain integers.  All factors are evaluated on one
+numpy grid over (class, k, m1, m2), and products as exact (correctly
 rounded) sums of log-factors with a single final exponential, so results
 are deterministic and do not underflow for deep truncations.  The full
 product converges for Re(s) > 2; the truncated one is defined wherever no
@@ -41,23 +42,6 @@ class LatticePoint(NamedTuple):
 
     m1: int
     m2: int
-
-
-class TauIndex(NamedTuple):
-    """Highest weight m of the twisting representation (dimension 2m+1)."""
-
-    m: int
-
-
-class Truncation(NamedTuple):
-    """Truncation order: m1 and m2 each range over 0..max_m."""
-
-    max_m: int
-
-
-def _index(x, what: str) -> int:
-    # a TauIndex or Truncation, or a bare integer
-    return _whole(x[0] if isinstance(x, (TauIndex, Truncation)) else x, what, 0)
 
 
 def xi_lambda(lp: LatticePoint, a: float, b: float) -> complex:
@@ -164,7 +148,7 @@ def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
     # every local factor on one (class, k, m1, m2) grid; raises FactorZero at
     # the first zero in that order.  Called from the public entry points
     s = complex(s)
-    tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
+    tau_m, max_m = _whole(tau, "twist index", 0), _whole(tr, "truncation order", 0)
     _warn_halfplane(s, stacklevel=4)
     a = spec._lengths[:, None, None, None]
     b = spec._holonomies[:, None, None, None]
@@ -187,7 +171,9 @@ def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
 def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     """Truncated zeta value: the triple product of local factors.
 
-    Evaluated as exp of the exact sum of multiplicity-weighted
+    ``tau`` is the twist index m and ``tr`` the truncation order, plain
+    nonnegative integers: k runs over -m..m, and m1 and m2 each run over
+    0..tr.  Evaluated as exp of the exact sum of multiplicity-weighted
     log-factors.  Raises FactorZero if s is a zero of some local factor.
     """
     logs = np.log(_factor_grid(spec, tau, s, tr))
@@ -218,7 +204,7 @@ def zeta_ratio(spec1: Spectrum, spec2: Spectrum, tau, s: complex, tr) -> complex
     DivisionByZero; a vanishing numerator factor propagates as FactorZero.
     """
     s = complex(s)
-    tau_m, max_m = _index(tau, "twist index"), _index(tr, "truncation order")
+    tau_m, max_m = _whole(tau, "twist index", 0), _whole(tr, "truncation order", 0)
     s1, s2 = spectrum_difference(spec1, spec2)
     _warn_halfplane(s)
     with warnings.catch_warnings():

@@ -27,6 +27,9 @@ from lhspec.zeros import subtract_trace
 
 TWO_PI = 2.0 * math.pi
 
+#: algebra residual 1e-9: in so(3,1) at tolerance 1e-6 but not at TAU_ALG
+LOOSE = [[0, 0.500000001, 0, 0.25], [-0.5, 0, 0, -0.5], [0, 0, 0, 0.7], [0.25, -0.5, 0.7, 0]]
+
 
 def rand_algebra(rng, scale=1.0):
     """Random element of so(3,1): skew 3x3 block B plus boost column u."""

@@ -26,6 +26,7 @@ from lhspec import (
     Spectrum,
     SpectralError,
     ZeroWindow,
+    algebra_residual,
     zero_line,
 )
 from lhspec.cli_io import (
@@ -40,7 +41,7 @@ from lhspec.cli_io import (
     serialize_spectrum,
 )
 
-from helpers import zero_data_reference
+from helpers import LOOSE, zero_data_reference
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -80,6 +81,24 @@ def test_cli_golden(name, code, argv, capsys):
     assert capsys.readouterr().out == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize(
+    "name, respell, extra",
+    [
+        ("zeta.json", str, ["--format", "csv"]),
+        ("classify.json", lambda text: json.dumps(sum(json.loads(text), [])), []),
+    ],
+    ids=["csv_format_override", "flat_matrix"],
+)
+def test_cli_golden_of_a_respelled_input(name, respell, extra, tmp_path, capsys):
+    # a golden case's input rewritten into a file named .json: the CSV parses
+    # only through --format, the 4x4 matrix becomes a flat list of 16 numbers
+    _, code, argv = next(c for c in GOLDEN_CASES if c[0] == name)
+    path = tmp_path / "input.json"
+    path.write_text(respell(Path(argv[1]).read_text()))
+    assert run_cli([argv[0], str(path), *argv[2:], *extra]) == code
+    assert capsys.readouterr().out == (GOLDEN / name).read_text()
+
+
 MAIN_CASES = [
     c for c in GOLDEN_CASES if c[0] in ("classify.json", "err_not_group.json", "err_bad_header.json")
 ]
@@ -87,11 +106,13 @@ MAIN_CASES = [
 
 @pytest.mark.parametrize("name,code,argv", MAIN_CASES, ids=[c[0] for c in MAIN_CASES])
 def test_main_process_golden(name, code, argv):
-    # the installed entry point, main(), in a fresh interpreter: stdout, exit code, no stderr
+    # the installed entry point, main(), and python -m lhspec, each in a fresh
+    # interpreter: stdout, exit code, no stderr
     env = {**os.environ, "PYTHONPATH": str(HERE.parent / "src")}
-    cmd = [sys.executable, "-c", "from lhspec.cli_io import main; main()", *argv]
-    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (code, (GOLDEN / name).read_text(), "")
+    for entry in (["-c", "from lhspec.cli_io import main; main()"], ["-m", "lhspec"]):
+        cmd = [sys.executable, *entry, *argv]
+        done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (code, (GOLDEN / name).read_text(), "")
 
 
 def test_classify_output_semantics(capsys):
@@ -224,6 +245,22 @@ def test_cli_tol_only_where_read(command, capsys):
         argv += ["--s", "3+0i"]
     assert run_cli(argv) == 2
     capsys.readouterr()
+
+
+def test_decompose_tol_is_the_membership_tolerance_of_the_parts(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(LOOSE))
+    assert run_cli(["decompose", str(path), "--tol", "1e-6"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    for split, names in (("cartan", ("k", "p")), ("iwasawa", ("k", "a_p", "n"))):
+        parts = [np.array(out[split][name]) for name in names]
+        assert np.max(np.abs(sum(parts) - np.array(LOOSE))) <= 1e-12
+        assert max(algebra_residual(part) for part in parts) <= 1e-6
+    assert run_cli(["decompose", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "not_in_algebra",
+        "message": "A^T J + J A residual 1.000e-09 exceeds tolerance 1.0e-12",
+    }
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -525,6 +562,8 @@ def test_parsed_defaults(argv, parsed):
 def test_parse_csv_basic():
     spec = parse_spectrum("length,holonomy,multiplicity\n1,0.7,1\n2,1,2\n")
     assert [(c.length, c.holonomy, c.multiplicity) for c in spec] == [(1.0, 0.7, 1), (2.0, 1.0, 2)]
+    spaced = parse_spectrum("length,holonomy,multiplicity\n\n1,0.7,1\n  \n2,1,2\n\n")
+    assert [(c.length, c.holonomy, c.multiplicity) for c in spaced] == [(1.0, 0.7, 1), (2.0, 1.0, 2)]
 
 
 def test_parse_csv_merges_duplicates():
@@ -565,7 +604,7 @@ def test_parse_json_spectrum():
     assert [(c.length, c.holonomy, c.multiplicity) for c in spec] == [(1.0, 0.7, 2)]
 
 
-def test_parse_json_errors():
+def test_parse_json_errors(tmp_path, capsys):
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_spectrum("{", "json")
     with pytest.raises(ParseError, match="array"):
@@ -576,6 +615,13 @@ def test_parse_json_errors():
         parse_spectrum("", "yaml")
     with pytest.raises(ParseError, match="multiplicity must be an integer"):
         parse_spectrum('[{"length": 1, "holonomy": 0, "multiplicity": Infinity}]', "json")
+    path = tmp_path / "rows.json"
+    path.write_text("[1, 2]")
+    assert run_cli(["recover", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == {
+        "code": "parse_error",
+        "message": "entry 0: expected an object",
+    }
 
 
 def test_holonomy_reduced_mod_two_pi():
@@ -594,6 +640,8 @@ def test_serialize_parse_roundtrip_both_formats():
         assert [(c.length, c.holonomy, c.multiplicity) for c in again] == [
             (c.length, c.holonomy, c.multiplicity) for c in spec
         ]
+    with pytest.raises(ParseError, match="unknown spectrum format 'xml'"):
+        serialize_spectrum(spec, "xml")
 
 
 @given(

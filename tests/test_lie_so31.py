@@ -28,7 +28,7 @@ from lhspec import (
 )
 from lhspec.lie_so31 import POSITIVE_ROOTS, ROOTS, restriction_multiplicities
 
-from helpers import rand_algebra, series_exp
+from helpers import LOOSE, rand_algebra, series_exp
 
 params = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
@@ -128,6 +128,31 @@ def test_iwasawa_split_matches_least_squares_oracle(rng):
 def test_iwasawa_rejects_non_algebra_input():
     with pytest.raises(NotInAlgebra):
         iwasawa_split(np.eye(4))
+
+
+@pytest.mark.parametrize("split", [cartan_split, iwasawa_split])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (np.eye(3), "expected a 4x4 matrix, got shape (3, 3)"),
+        (np.full((4, 4), math.nan), "matrix entries must be finite"),
+    ],
+    ids=["3x3", "nan"],
+)
+def test_splits_check_a_raw_array_as_lie_element(split, bad, message):
+    with pytest.raises(DomainError) as caught:
+        split(bad)
+    assert (caught.type, str(caught.value)) == (DomainError, message)
+
+
+def test_splits_check_their_parts_at_the_tolerance_of_their_input():
+    x = LieElement(LOOSE, tol=1e-6)
+    for parts in (cartan_split(x), iwasawa_split(x)):
+        assert np.max(np.abs(sum(part.matrix for part in parts) - x.matrix)) <= 1e-12
+        assert all(part.tol == 1e-6 and algebra_residual(part) <= 1e-6 for part in parts)
+    for split in (cartan_split, iwasawa_split):
+        with pytest.raises(NotInAlgebra, match="exceeds tolerance 1.0e-12"):
+            split(LOOSE)
 
 
 def test_nilpotent_span_is_two_step():

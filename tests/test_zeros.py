@@ -67,6 +67,31 @@ def test_window_validation():
             class_trace(a, 0.5, (1,), ZeroWindow(0, 10.0))
 
 
+@pytest.mark.parametrize(
+    "max_m, im_bound, message",
+    [
+        (-1, 5.0, "window max_m must be a nonnegative integer, got -1"),
+        (1.5, 5.0, "window max_m must be a nonnegative integer, got 1.5"),
+        (0, 0.0, "window im_bound must be positive, got 0.0"),
+        (0, math.nan, "window im_bound must be positive, got nan"),
+    ],
+    ids=["max_m_negative", "max_m_fraction", "im_bound_zero", "im_bound_nan"],
+)
+def test_window_is_checked_when_made(max_m, im_bound, message):
+    with pytest.raises(DomainError) as caught:
+        ZeroWindow(max_m, im_bound)
+    assert str(caught.value) == message
+    with pytest.raises(DomainError) as caught:
+        ZeroWindow(0, 5.0)._replace(max_m=max_m, im_bound=im_bound)
+    assert str(caught.value) == message
+
+
+def test_window_holds_its_checked_values():
+    w = ZeroWindow(1.0, 5)
+    assert w == (1, 5.0)
+    assert type(w.max_m) is int and type(w.im_bound) is float
+
+
 @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
 def test_non_finite_holonomy_has_no_n_range(b):
     # math.ceil of a NaN or infinite bound would raise ValueError or OverflowError
