@@ -54,7 +54,9 @@ def in_algebra(A, tol: float = TAU_ALG) -> bool:
 class LieElement:
     """A validated element of so(3,1), wrapping a read-only 4x4 array.
 
-    ``tol`` is the membership tolerance the matrix was checked at.
+    ``tol`` is the membership tolerance the matrix was checked at.  A sum or
+    difference is checked at the sum of the tolerances of its operands, and
+    a negation at the tolerance of its operand.
     """
 
     __slots__ = ("matrix", "tol")
@@ -77,13 +79,18 @@ class LieElement:
         return f"LieElement({self.matrix.tolist()})"
 
     def __add__(self, other) -> "LieElement":
-        return LieElement(self.matrix + _mat(other))
+        return LieElement(self.matrix + _mat(other), self.tol + _tol(other))
 
     def __sub__(self, other) -> "LieElement":
-        return LieElement(self.matrix - _mat(other))
+        return LieElement(self.matrix - _mat(other), self.tol + _tol(other))
 
     def __neg__(self) -> "LieElement":
-        return LieElement(-self.matrix)
+        return LieElement(-self.matrix, self.tol)
+
+
+def _tol(x) -> float:
+    # the tolerance x was checked at; a raw array counts as checked at TAU_ALG
+    return x.tol if isinstance(x, LieElement) else TAU_ALG
 
 
 def _element(x) -> LieElement:
@@ -92,9 +99,20 @@ def _element(x) -> LieElement:
 
 
 def bracket(x, y) -> LieElement:
-    """Commutator [x, y] = xy - yx (so(3,1) is closed under it)."""
+    """Commutator [x, y] = xy - yx (so(3,1) is closed under it).
+
+    With E_A = A^T J + J A the residual of A, the residual of the bracket is
+
+        [A, B]^T J + J [A, B] = B^T E_A + E_A B - A^T E_B - E_B A,
+
+    whose entries are at most 8 * (max|B| * max|E_A| + max|A| * max|E_B|)
+    for 4x4 matrices.  So [x, y] is checked at that bound with the
+    tolerances of x and y in place of their residuals, and at TAU_ALG when
+    the bound is smaller.  A raw array counts as checked at TAU_ALG.
+    """
     xm, ym = _mat(x), _mat(y)
-    return LieElement(xm @ ym - ym @ xm)
+    bound = np.abs(ym).max(initial=0.0) * _tol(x) + np.abs(xm).max(initial=0.0) * _tol(y)
+    return LieElement(xm @ ym - ym @ xm, max(TAU_ALG, 8.0 * float(bound)))
 
 
 def theta(A) -> np.ndarray:

@@ -8,11 +8,16 @@ the triple product over k in {-m..m}, classes p, and semilattice points
 
 each lattice point entering with exponent 1.  The twist index m and the
 truncation order are plain integers.  All factors are evaluated on one
-numpy grid over (class, k, m1, m2), and products as exact (correctly
-rounded) sums of log-factors with a single final exponential, so results
-are deterministic and do not underflow for deep truncations.  The full
-product converges for Re(s) > 2; the truncated one is defined wherever no
-factor vanishes, with a ConvergenceWarning outside the half-plane.
+numpy grid over (class, k, m1, m2), of fewer than 2**26 factors.  Re(X)
+depends on (class, m1+m2) and Im(X) on (class, k, m1-m2) alone, so exp and
+expm1 run on the first of these small arrays and sin on the second, and
+the grid reads them through Hankel and Toeplitz views.  Products are exact
+(correctly rounded) sums of log-factors with a single final exponential:
+the terms are split into integer bit-position weights, packed into int64
+limbs and finished by a few int.from_bytes calls, so results are
+deterministic and do not underflow for deep truncations.  The full product
+converges for Re(s) > 2; the truncated one is defined wherever no factor
+vanishes, with a ConvergenceWarning outside the half-plane.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConvergenceWarning,
@@ -102,7 +108,8 @@ def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
 
 
 # float64 bincount weights sum exactly below 2**53: fewer than 2**26 terms
-# of one 26-bit half of a 53-bit mantissa each
+# of one 26-bit half of a 53-bit mantissa each.  It is also the cap on the
+# factors of one Euler-product grid
 _SPLIT = 26
 _MAX_TERMS = 2**_SPLIT
 # below this magnitude fewer than 2**26 terms sum to less than 2**995, so
@@ -111,6 +118,9 @@ _MAX_TERMS = 2**_SPLIT
 _BIG = 2.0**969
 # frexp exponents start at -1073 (the smallest subnormal); shifted to be >= 0
 _EXP_OFFSET = 1074
+# bit positions per int64 limb, and limbs per int.from_bytes call: limbs
+# with one residue mod 8 lie 64 bits apart and so never overlap
+_LIMB = 8
 
 
 def _exact_sum(x: np.ndarray) -> float:
@@ -118,10 +128,17 @@ def _exact_sum(x: np.ndarray) -> float:
 
     A term is q * 2**(exp - 53) with an integer mantissa |q| < 2**53 from
     frexp.  The high and low 26 bits of q are summed per exponent by
-    bincount without rounding, the buckets add up to one Python int, and int
-    true division rounds it once.  Non-finite or huge terms, 2**26 terms or
-    more, and an exact-zero total (whose sign fsum decides) go to fsum.
-    The terms of an array of any shape are taken in C order.
+    bincount without rounding: the hi sums are below 2**53 and the lo sums
+    below 2**52 in magnitude.  Folding the hi buckets 26 places up onto the
+    lo buckets gives one int64 weight w[e] of bit position e, |w| < 2**54.
+    Eight adjacent positions pack into a limb sum(w[8j + i] << i), so
+    |limb| < 2**54 * 255 < 2**62.  The limbs of one residue mod 8 lie 64
+    bits apart; biased by 2**63 into [0, 2**64) they are the digits of one
+    int.from_bytes, which takes the bias back off.  The eight results are
+    shifted together into one Python int, and int true division rounds it
+    once.  Non-finite or huge terms, 2**26 terms or more, and an exact-zero
+    total (whose sign fsum decides) go to fsum.  The terms of an array of
+    any shape are taken in C order.
     """
     x = x.ravel()
     if x.size >= _MAX_TERMS or not np.abs(x).max(initial=0.0) < _BIG:  # also NaN
@@ -135,10 +152,17 @@ def _exact_sum(x: np.ndarray) -> float:
     exp += _EXP_OFFSET
     hi_sums = np.bincount(exp, weights=hi)
     lo_sums = np.bincount(exp, weights=lo)
-    nz = np.flatnonzero((hi_sums != 0) | (lo_sums != 0))
+    n = lo_sums.size
+    # bit positions for a whole number of limbs of each residue mod _LIMB
+    w = np.zeros(-(-(n + _SPLIT) // _LIMB**2) * _LIMB**2, dtype=np.int64)
+    w[:n] = lo_sums.astype(np.int64)
+    w[_SPLIT : n + _SPLIT] += hi_sums.astype(np.int64)
+    limbs = (w.reshape(-1, _LIMB) << np.arange(_LIMB)).sum(axis=1)
+    digits = (limbs.view(np.uint64) + np.uint64(2**63)).astype("<u8", copy=False)
+    bias = int.from_bytes((2**63).to_bytes(8, "little") * (limbs.size // _LIMB), "little")
     total = 0
-    for e, h, l in zip(nz.tolist(), hi_sums[nz].tolist(), lo_sums[nz].tolist()):
-        total += ((int(h) << _SPLIT) + int(l)) << e
+    for r in range(_LIMB):
+        total += (int.from_bytes(digits[r::_LIMB].tobytes(), "little") - bias) << (_LIMB * r)
     if total == 0:
         return math.fsum(x.tolist())
     return total / (1 << (_EXP_OFFSET + 53))
@@ -146,19 +170,39 @@ def _exact_sum(x: np.ndarray) -> float:
 
 def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
     # every local factor on one (class, k, m1, m2) grid; raises FactorZero at
-    # the first zero in that order.  Called from the public entry points
+    # the first zero in that order.  Called from the public entry points.
+    # exp/expm1 run on (class, m1+m2) and sin on (class, k, m1-m2); each
+    # grid element is the same float expression, in the same order, as when
+    # evaluated on the full grid
     s = complex(s)
     tau_m, max_m = _whole(tau, "twist index", 0), _whole(tr, "truncation order", 0)
+    size = spec._lengths.size * (2 * tau_m + 1) * (max_m + 1) ** 2
+    if size >= _MAX_TERMS:
+        raise DomainError(
+            f"Euler-product grid of {size} factors (twist index {tau_m}, truncation "
+            f"order {max_m}) is not below the cap of 2**26"
+        )
     _warn_halfplane(s, stacklevel=4)
-    a = spec._lengths[:, None, None, None]
-    b = spec._holonomies[:, None, None, None]
-    k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None, None]
-    m = np.arange(max_m + 1, dtype=float)
-    m1, m2 = m[:, None], m[None, :]
-    x_re = (m1 + m2) * a + s.real * a
-    x_im = k * b + (m1 - m2) * b + s.imag * a
-    damp = np.exp(-x_re)
-    grid = (-np.expm1(-x_re) + damp * 2.0 * np.sin(x_im / 2.0) ** 2) + 1j * (damp * np.sin(x_im))
+    a = spec._lengths[:, None]
+    b = spec._holonomies[:, None, None]
+    n = np.arange(2 * max_m + 1, dtype=float)  # m1 + m2
+    d = np.arange(-max_m, max_m + 1, dtype=float)  # m1 - m2
+    k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None]
+    x_re = n * a + s.real * a
+    x_im = k * b + d * b + s.imag * a[:, None]
+    damp = np.exp(-x_re)[:, None]
+    em = -np.expm1(-x_re)[:, None]
+    damp2 = damp * 2.0
+    sin2 = np.sin(x_im / 2.0) ** 2
+    sn = np.sin(x_im)
+
+    def hankel(v):  # [c, k, m1, m2] -> v[c, k, m1 + m2]
+        return sliding_window_view(v, max_m + 1, axis=-1)
+
+    def toeplitz(v):  # [c, k, m1, m2] -> v[c, k, max_m + m1 - m2]
+        return sliding_window_view(v, max_m + 1, axis=-1)[..., ::-1]
+
+    grid = (hankel(em) + hankel(damp2) * toeplitz(sin2)) + 1j * (hankel(damp) * toeplitz(sn))
     if not grid.all():
         c, j, m1, m2 = np.argwhere(grid == 0)[0].tolist()
         raise FactorZero(

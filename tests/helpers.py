@@ -413,15 +413,14 @@ def _factor_grid_reference(k, a, b, s, max_m):
     )
 
 
-def grid_sum_reference(spec, tau_m, s, max_m, log_terms):
-    """Euler-product grid sum by per-grid tolist and math.fsum.
+def factor_grids_reference(spec, tau_m, s, max_m):
+    """The (m1, m2) grid of local factors of each class and k, one per grid.
 
-    ``log_terms`` selects the log-factors (zeta) or the terms a*(1/f - 1)
-    (log-derivative); returns the complex sum, or raises FactorZero with the
-    message of the library.
+    Returns (a, mult, grid) in (class, k) order, or raises FactorZero with
+    the message of the library at the first zero in (class, k, m1, m2) order.
     """
     s = complex(s)
-    re_terms, im_terms = [], []
+    grids = []
     for a, b, mult in spec:
         for k in range(-tau_m, tau_m + 1):
             grid = _factor_grid_reference(k, a, b, s, max_m)
@@ -432,14 +431,27 @@ def grid_sum_reference(spec, tau_m, s, max_m, log_terms):
                     f"local factor vanishes at s={s!r} for k={k}, "
                     f"(m1, m2)=({m1}, {m2}), class (a={a!r}, b={b!r})"
                 )
-            if log_terms:
-                logs = np.log(grid).ravel()
-                re, im = mult * logs.real, mult * logs.imag
-            else:
-                terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
-                re, im = terms.real, terms.imag
-            re_terms.extend(re.tolist())
-            im_terms.extend(im.tolist())
+            grids.append((a, mult, grid))
+    return grids
+
+
+def grid_sum_reference(spec, tau_m, s, max_m, log_terms):
+    """Euler-product grid sum by per-grid tolist and math.fsum.
+
+    ``log_terms`` selects the log-factors (zeta) or the terms a*(1/f - 1)
+    (log-derivative); returns the complex sum, or raises FactorZero with the
+    message of the library.
+    """
+    re_terms, im_terms = [], []
+    for a, mult, grid in factor_grids_reference(spec, tau_m, s, max_m):
+        if log_terms:
+            logs = np.log(grid).ravel()
+            re, im = mult * logs.real, mult * logs.imag
+        else:
+            terms = (mult * a) * (1.0 / grid.ravel() - 1.0)
+            re, im = terms.real, terms.imag
+        re_terms.extend(re.tolist())
+        im_terms.extend(im.tolist())
     return complex(math.fsum(re_terms), math.fsum(im_terms))
 
 

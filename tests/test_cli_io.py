@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -360,6 +361,29 @@ def test_evaluate_multiplicity_past_int64_is_domain_error(command, tmp_path, cap
     path.write_text("length,holonomy,multiplicity\n2.0,0.5,9223372036854775808\n")
     assert run_cli([command, str(path), "--s", "3+0i"]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["zeta", str(DATA / "small.csv"), "--s", "3+0i", "--maxm", "1000000"],
+        ["psi", str(DATA / "small.csv"), "--s", "3+0i", "--tau", "100000000"],
+    ],
+    ids=["maxm", "tau"],
+)
+def test_oversized_euler_product_grid_is_domain_error(argv, capsys):
+    # refused before any grid array is made: numpy allocations are traced too
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "domain_error" and "2**26" in err["message"]
+    assert peak < 2**20
 
 
 def test_compare_cancelling_multiplicities_past_int64_is_domain_error(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """so(3,1) structure: splits, brackets, roots, closed-form exponentials."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from lhspec import (
     DomainError,
     LieElement,
     NotInAlgebra,
+    TAU_ALG,
     algebra_residual,
     bracket,
     cartan_generator,
@@ -153,6 +155,31 @@ def test_splits_check_their_parts_at_the_tolerance_of_their_input():
     for split in (cartan_split, iwasawa_split):
         with pytest.raises(NotInAlgebra, match="exceeds tolerance 1.0e-12"):
             split(LOOSE)
+
+
+def _bracket_tol(x, y):
+    bound = 8.0 * (np.abs(y.matrix).max() * x.tol + np.abs(x.matrix).max() * y.tol)
+    return max(TAU_ALG, bound)
+
+
+@pytest.mark.parametrize(
+    "op, tol",
+    [
+        (lambda x, k: x - k, lambda x, k: x.tol + k.tol),
+        (lambda x, k: x + k, lambda x, k: x.tol + k.tol),
+        (lambda x, k: -x, lambda x, k: x.tol),
+        (bracket, _bracket_tol),
+    ],
+    ids=["sub", "add", "neg", "bracket"],
+)
+def test_arithmetic_keeps_the_tolerance_of_its_operands(op, tol):
+    x = LieElement(LOOSE, tol=1e-6)
+    k, _ = cartan_split(x)
+    got = op(x, k)
+    assert got.tol == tol(x, k) and algebra_residual(got) <= got.tol
+    # a raw array operand counts as checked at TAU_ALG
+    raw = SimpleNamespace(matrix=k.matrix, tol=TAU_ALG)
+    assert op(x, k.matrix).tol == tol(x, raw)
 
 
 def test_nilpotent_span_is_two_step():

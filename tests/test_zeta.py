@@ -3,6 +3,7 @@
 import cmath
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,9 +26,9 @@ from lhspec import (
     zeta_tau,
 )
 
-from lhspec.zeta import _exact_sum
+from lhspec.zeta import _exact_sum, _factor_grid
 
-from helpers import TWO_PI, grid_sum_reference, rand_spectrum
+from helpers import TWO_PI, factor_grids_reference, grid_sum_reference, rand_spectrum
 
 E3 = math.exp(-3.0)
 
@@ -330,6 +331,33 @@ def test_exact_sum_matches_fsum(xs):
     _check_exact_sum(xs)
 
 
+# terms at the int64 bounds of the limb finish: the top mantissa at the
+# highest exponent below the fsum fallback, one term in every exponent
+# bucket, and a total that cancels to zero
+TOP = (2**53 - 1) * 2.0**915
+BUCKETS = [math.ldexp(2**53 - 1, e) for e in range(-1126, 916)]
+
+
+@given(
+    st.builds(
+        lambda x, n, alt: [x, -x if alt else x] * n,
+        wide | subnormal,
+        st.integers(1, 2**12),
+        st.booleans(),
+    )
+)
+@example([TOP] * 2**20)
+@example([TOP, -TOP] * 2**19)
+@example([-TOP] * 2**20)
+@example(BUCKETS)
+@example([-x for x in BUCKETS])
+@example(BUCKETS + [-x for x in BUCKETS])
+@example([TOP] * 2**19 + [-0.0] + [-TOP] * 2**19)
+@settings(max_examples=50, deadline=None)
+def test_exact_sum_matches_fsum_at_the_limb_bounds(xs):
+    _check_exact_sum(xs)
+
+
 @given(st.lists(wide | subnormal, max_size=30), st.lists(wide, max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_exact_sum_matches_fsum_on_cancelling_pairs(xs, rest):
@@ -363,3 +391,54 @@ def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
     want_log = _outcome(lambda: complex(np.exp(grid_sum_reference(spec, tau_m, s, max_m, True))))
     want_psi = _outcome(grid_sum_reference, spec, tau_m, s, max_m, False)
     assert (got_log, got_psi) == (want_log, want_psi)
+
+
+# the grid against the per-(class, k) reference bit for bit, as uint64 views
+# of its real and imaginary parts, so signed zeros and NaN payloads count
+@given(
+    class_rows,
+    st.integers(0, 2),
+    st.builds(complex, st.floats(-800.0, 8.0), st.floats(-6.0, 6.0)),
+    st.integers(0, 35),
+)
+@example([(1.0, 0.0, 1)], 1, complex(3.0, -0.0), 2)  # x_im = -0.0 at k = -1
+@example([(5.0, 0.5, 1), (0.3, 0.0, 2)], 2, -800 + 1j, 4)  # damp past the float range
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 0, -1 + 0j, 2)  # FactorZero
+@settings(max_examples=150, deadline=None)
+def test_factor_grid_matches_reference_bit_for_bit(rows, tau_m, s, max_m):
+    spec = Spectrum(rows)
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        try:
+            grids = factor_grids_reference(spec, tau_m, s, max_m)
+        except FactorZero as exc:
+            with pytest.raises(FactorZero) as caught:
+                _factor_grid(spec, tau_m, s, max_m)
+            assert str(caught.value) == str(exc)
+            return
+        grid = _factor_grid(spec, tau_m, s, max_m)
+    assert grid.shape == (len(spec), 2 * tau_m + 1, max_m + 1, max_m + 1)
+    for (_, _, ref), part in zip(grids, grid.reshape(-1, max_m + 1, max_m + 1), strict=True):
+        for got_part, ref_part in ((part.real, ref.real), (part.imag, ref.imag)):
+            assert np.array_equal(got_part.view(np.uint64), ref_part.view(np.uint64))
+
+
+@pytest.mark.parametrize(
+    "rows, tau_m, max_m, refused",
+    [
+        ([(1.0, 0.0, 1)], 0, 8191, True),  # exactly 2**26 factors
+        ([(1.0, 0.0, 1)], 0, 8190, False),
+        ([(1.0, 0.0, 1), (2.0, 0.5, 3)], 1, 3344, True),
+        ([(1.0, 0.0, 1), (2.0, 0.5, 3)], 1, 3343, False),
+        ([(1.0, 0.0, 1)], 2**62, 0, True),
+    ],
+)
+@pytest.mark.parametrize("evaluate", [zeta_tau, log_derivative])
+def test_grid_of_2_26_factors_is_domain_error(evaluate, rows, tau_m, max_m, refused):
+    # classes * (2*tau + 1) * (max_m + 1)**2 >= 2**26 is refused before the
+    # first array of the grid is made; below the cap that array is made
+    spec = Spectrum(rows)
+    expected = (DomainError, r"2\*\*26") if refused else (AssertionError, "grid allocated")
+    with mock.patch.object(np, "arange", side_effect=AssertionError("grid allocated")):
+        with pytest.raises(expected[0], match=expected[1]):
+            evaluate(spec, tau_m, 3.0, max_m)
