@@ -412,10 +412,18 @@ def _add_arguments(p: argparse.ArgumentParser, arguments: str, **defaults) -> No
     p.set_defaults(**defaults)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ParseError (its subparsers share the class)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ParseError(message)
+
+
 @functools.cache  # argparse keeps no state between parse_args calls
 def build_parser() -> argparse.ArgumentParser:
     """The lhspec parser, built once per process and shared: do not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lhspec",
         description="Length-holonomy spectra: decompositions, truncated Euler "
         "products, zero multisets, and multiset-peeling recovery.",
@@ -445,13 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run_cli(argv: Iterable[str] | None = None) -> int:
     """Dispatch one CLI invocation; returns the exit code (0/1/2)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv) if argv is not None else None)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        args = build_parser().parse_args(list(argv) if argv is not None else None)
         result = args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except SpectralError as exc:
         print(dumps({"error": {"code": exc.code, "message": str(exc)}}))
         return 2 if isinstance(exc, ParseError) else 1

@@ -60,16 +60,14 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     return range(math.ceil(lo), math.floor(hi) + 1)
 
 
-def _progressions(
-    a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0
-) -> list[np.ndarray]:
-    """(-b*k - 2*n*pi)/a for each k in ks, n ascending over the window and ``pad`` steps past it.
+def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
+    """(-b*k - 2*n*pi)/a for each (a, b, k) row, n ascending over the window and ``pad`` past it.
 
     Each progression is counted from its n-range bounds before it is built:
     DomainError when it would hold 2**63 points or more.
     """
     out = []
-    for k in ks:
+    for a, b, k in rows:
         r = _n_range(a, b, k, im_bound)
         if r.stop - r.start + 2 * pad >= COUNT_LIMIT:
             msg = f"window im_bound {im_bound!r} holds 2**63 or more points of class ({a!r}, {b!r})"
@@ -79,16 +77,14 @@ def _progressions(
     return out
 
 
-def _trace(a: float, b: float, ks: Sequence[int], im_bound: float, pad: int = 0) -> np.ndarray:
-    """The progressions of ks joined k-major, with -0.0 normalized to 0.0."""
-    parts = _progressions(_positive(a, "length"), b, ks, im_bound, pad)
-    # + 0.0 normalizes -0.0 so canonical forms and JSON output are stable
-    return np.concatenate(parts) + 0.0 if parts else np.empty(0)
+def _trace(rows, im_bound: float, pad: int = 0) -> np.ndarray:
+    """The progressions of the (a, b, k) rows joined in order; + 0.0 turns -0.0 into 0.0."""
+    return np.concatenate([np.empty(0), *_progressions(rows, im_bound, pad)]) + 0.0
 
 
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
     """All windowed imaginary parts (-b*k - 2*n*pi)/a for k in ks (with repeats)."""
-    return _trace(a, b, ks, w.im_bound).tolist()
+    return _trace([(_positive(a, "length"), b, k) for k in ks], w.im_bound).tolist()
 
 
 def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
@@ -105,7 +101,7 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     reach = tau_m + w.max_m  # |m1 - m2 + k| <= reach
     kks = range(-reach, reach + 1)
     for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist()):
-        lines = dict(zip(kks, _progressions(a, b, kks, w.im_bound)))
+        lines = dict(zip(kks, _progressions([(a, b, kk) for kk in kks], w.im_bound)))
         for k in range(-tau_m, tau_m + 1):
             for m1 in range(w.max_m + 1):
                 for m2 in range(w.max_m + 1 - m1):
@@ -128,13 +124,41 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     """
     tau_m = _whole(tau, "twist index", 0)
     ks = range(-tau_m, tau_m + 1)
-    traces = [
-        _trace(a, b, ks, w.im_bound)
-        for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist())
-    ]
-    counts = np.repeat(diff._counts, [t.size for t in traces])
-    values = np.concatenate(traces) if traces else np.empty(0)
+    classes = zip(diff._lengths.tolist(), diff._holonomies.tolist())
+    parts = _progressions([(a, b, k) for a, b in classes for k in ks], w.im_bound)
+    counts = np.repeat(np.repeat(diff._counts, len(ks)), [p.size for p in parts])
+    values = np.concatenate([np.empty(0), *parts]) + 0.0
     return RealMultiset._from_arrays(values, counts, tol=TAU_ZERO)
+
+
+def _subtract_traces(ms: RealMultiset, classes, b: float, ks, w: ZeroWindow, tol: float):
+    """Remove ``mult`` copies of the trace of (a, b) over ks for each (a, mult) of classes at once.
+
+    ``mult`` and ``tol`` are trusted.  A value that several progressions of
+    one class share is one pair wanting ``mult`` copies per progression,
+    kept at its first occurrence in k-major order.  One progression repeats
+    no value unless its window holds about 2**52 points, so a single k is
+    never merged; for several, the merge runs only where a sort of the
+    joined progressions shows two equal neighbours, which for k = +1 and -1
+    needs b within rounding of 0 or pi.
+    """
+    values, wants = [np.empty(0)], [np.empty(0, dtype=np.int64)]
+    for a, mult in classes:
+        trace = _trace([(_positive(a, "length"), b, k) for k in ks], w.im_bound, pad=1)
+        seen = np.ones(trace.size, dtype=np.int64)
+        if len(ks) > 1:
+            ordered = np.sort(trace)
+            if (ordered[1:] == ordered[:-1]).any():
+                trace, first, seen = np.unique(trace, return_index=True, return_counts=True)
+                order = np.argsort(first)
+                trace, seen = trace[order], seen[order]
+        values.append(trace)
+        # past int64: Python ints, which only the exact walk takes
+        big = mult * int(seen.max(initial=0)) >= COUNT_LIMIT
+        wants.append((seen.astype(object) if big else seen) * mult)
+    values = np.concatenate(values)
+    edge = np.abs(values) > w.im_bound - tol * max(1.0, w.im_bound)
+    return ms._subtract(values, np.concatenate(wants), tol, edge)
 
 
 def subtract_trace(
@@ -158,32 +182,11 @@ def subtract_trace(
     pairs must be walked one by one, every interior pair is walked before
     any edge pair.
 
-    A value that several progressions share is one pair wanting ``mult``
-    copies per progression, kept at its first occurrence in k-major order.
-    One progression repeats no value unless its window holds about 2**52
-    points, so a single k is never checked; for several, the merge runs only
-    where a sort of the joined progressions shows two equal neighbours,
-    which for k = +1 and -1 needs b within rounding of 0 or pi.
-
     Raises ValueError when ``mult`` is not a nonnegative integer or ``tol``
     is negative or not finite, as ``RealMultiset.subtract`` does.
     """
     mult = _whole(mult, "multiplicity", 0, ValueError)
-    band = _check_tol(tol, ValueError) * max(1.0, w.im_bound)
-    values = _trace(a, b, ks, w.im_bound, pad=1)
-    seen = np.ones(values.size, dtype=np.int64)
-    if len(ks) > 1:
-        ordered = np.sort(values)
-        if (ordered[1:] == ordered[:-1]).any():
-            trace, first, seen = np.unique(values, return_index=True, return_counts=True)
-            order = np.argsort(first)
-            values, seen = trace[order], seen[order]
-    if mult * int(seen.max(initial=0)) < COUNT_LIMIT:
-        wants = seen * mult
-    else:  # past int64: Python ints, which only the exact walk takes
-        wants = seen.astype(object) * mult
-    edge = np.abs(values) > w.im_bound - band
-    return ms._subtract(values, wants, tol, edge)
+    return _subtract_traces(ms, [(a, mult)], b, ks, w, _check_tol(tol, ValueError))
 
 
 def strip_k0(
@@ -192,15 +195,12 @@ def strip_k0(
     """Remove the k = 0 contribution {-2*n*pi/a : a in lengths} from a zero line.
 
     What remains of an m = 1 zero line is the k = +1/-1 data the ratio
-    recovery peels.  Points match within ``tol``, as in ``subtract_trace``.
-    Subtracting an empty length multiset is a no-op.
+    recovery peels.  The traces of all lengths go in one pass that matches
+    within ``tol`` as ``subtract_trace`` does, and raises ValueError unless
+    ``tol`` is finite and nonnegative.  No lengths remove nothing.
     """
-    out = zl
-    for a, mult in lengths:
-        try:
-            out = subtract_trace(out, a, 0.0, (0,), mult, w, tol)
-        except UnderflowError as exc:
-            raise UnderflowError(
-                f"zero line is missing k=0 trace points of length {a!r}: {exc}"
-            ) from exc
-    return out
+    tol = _check_tol(tol, ValueError)
+    try:
+        return _subtract_traces(zl, lengths, 0.0, (0,), w, tol)
+    except UnderflowError as exc:
+        raise UnderflowError(f"zero line is missing k=0 trace points: {exc}") from exc

@@ -218,11 +218,17 @@ def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     ``tau`` is the twist index m and ``tr`` the truncation order, plain
     nonnegative integers: k runs over -m..m, and m1 and m2 each run over
     0..tr.  Evaluated as exp of the exact sum of multiplicity-weighted
-    log-factors.  Raises FactorZero if s is a zero of some local factor.
+    log-factors.  Raises FactorZero if s is a zero of some local factor and
+    DomainError when the value is past the float range.
     """
     logs = np.log(_factor_grid(spec, tau, s, tr))
     mult = spec._counts[:, None, None, None]
-    return complex(np.exp(complex(_exact_sum(mult * logs.real), _exact_sum(mult * logs.imag))))
+    log = complex(_exact_sum(mult * logs.real), _exact_sum(mult * logs.imag))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = complex(np.exp(log))
+    if not cmath.isfinite(value):
+        raise DomainError(f"zeta value at s={s!r} is past the float range: log zeta = {log!r}")
+    return value
 
 
 def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:

@@ -183,6 +183,16 @@ def subtract_trace_reference(entries, a, b, ks, mult, w, tol):
     return subtract_reference(out, [p for p in pairs if abs(p[0]) > lim], tol, partial=True)
 
 
+def strip_k0_reference(entries, lengths, w, tol):
+    """The k = 0 trace of each length subtracted length by length, the reference for strip_k0.
+
+    Returns the surviving (value, multiplicity) entries, or raises UnderflowError.
+    """
+    for a, mult in lengths:
+        entries = subtract_trace_reference(entries, a, 0.0, (0,), mult, w, tol)
+    return entries
+
+
 def _probe_points_reference(trace, im_bound, band):
     interior = np.sort(trace[np.abs(np.abs(trace) - im_bound) > band])
     n = interior.size

@@ -220,10 +220,24 @@ def test_cli_bad_complex_literal(capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
 
 
-def test_cli_no_subcommand_is_usage_error(capsys):
-    assert run_cli([]) == 2
-    assert run_cli(["zeta", str(DATA / "small.csv")]) == 2  # missing required --s
-    capsys.readouterr()
+USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["zeta", str(DATA / "small.csv")], "the following arguments are required: --s"),
+    (["recover", str(DATA / "small.csv"), "--tau", "5"], "unrecognized arguments: --tau 5"),
+    (["zeros", str(DATA / "small.csv"), "--maxm", "x"], "argument --maxm: invalid int value: 'x'"),
+    # a literal that starts with "-" and is no plain number is read as an option: --s=-800+0.3i
+    (["zeta", str(DATA / "small.csv"), "--s", "-800+0.3i"], "argument --s: expected one argument"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", USAGE_ERRORS, ids=["no_command", "no_s", "tau", "maxm", "dash_s"]
+)
+def test_cli_usage_error_prints_one_parse_error(argv, message, capsys):
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": {"code": "parse_error", "message": message}}
+    assert err.startswith("usage: lhspec")
 
 
 @pytest.mark.parametrize("command", ["classify", "decompose"])
@@ -386,6 +400,17 @@ def test_oversized_euler_product_grid_is_domain_error(argv, capsys):
     assert peak < 2**20
 
 
+def test_zeta_past_the_float_range_is_domain_error(capsys):
+    # log zeta = 23760 + 13.7i is exact, but exp of it is past the floats;
+    # psi at the same point is a finite sum
+    argv = [str(DATA / "small.csv"), "--s=-300+0.3i", "--maxm", "3"]
+    assert run_cli(["zeta", *argv]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["code"] == "domain_error" and "log zeta = (23760+" in err["message"]
+    assert run_cli(["psi", *argv]) == 0
+    assert json.loads(capsys.readouterr().out)["value"]["re"] == -80
+
+
 def test_compare_cancelling_multiplicities_past_int64_is_domain_error(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("length,holonomy,multiplicity\n" + "2.0,0.5,4611686018427387904\n" * 2)
@@ -499,6 +524,7 @@ def test_dumps_containers_and_arrays():
 
 def test_dumps_numpy_scalars():
     assert dumps(np.float64(0.5)) == "0.5"
+    assert dumps(np.float32(0.5)) == "0.5"
     assert dumps(np.int64(3)) == "3"
 
 

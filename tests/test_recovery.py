@@ -226,6 +226,17 @@ def test_recover_ratios_unexplained_value():
         )
 
 
+def test_recover_ratios_tie_where_every_branch_underflows():
+    # at c = 0.5 both lengths are candidates, but the point 31.9159... that a
+    # copy of either trace needs is gone, so no branch of the tie subtracts
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 1.0, 1)])
+    w = ZeroWindow(0, 20 * math.pi)
+    cur = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
+    cur = cur.subtract([(31.91592653589793, 2)], tol=0.0)
+    with pytest.raises(NegativeMultiplicity, match="smallest unexplained value 0.5$"):
+        recover_ratios(cur, spec.lengths(), w)
+
+
 def test_peeling_terminates_in_class_count_iterations(rng):
     for _ in range(10):
         spec = rand_spectrum(rng, max_classes=12)

@@ -164,6 +164,8 @@ TOL_SITES = [
     Site("ComplexMultiset tol", lambda x: ComplexMultiset([(1j, 1)], x), ValueError),
     Site("subtract tol", lambda x: TRACE.subtract([(0.0, 1)], x), ValueError),
     Site("subtract_trace tol", lambda x: subtract_trace(TRACE, 1, 0, (0,), 2, W, x), ValueError),
+    # no length to strip: the tolerance is still checked
+    Site("strip_k0 tol", lambda x: strip_k0(LINE, RealMultiset(), W, x), ValueError),
     Site("multiset_equal tol", lambda x: multiset_equal(LINE, LINE, x), ValueError),
     Site("LieElement tol", lambda x: LieElement(ROTATION, x).matrix.tolist(), DomainError),
 ]

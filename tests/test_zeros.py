@@ -26,6 +26,7 @@ from lhspec.zeros import subtract_trace
 from helpers import (
     TWO_PI,
     rand_spectrum,
+    strip_k0_reference,
     subtract_trace_reference,
     trace_reference,
     zero_multiset_entries_reference,
@@ -284,6 +285,23 @@ def test_strip_k0_mismatched_lengths_underflows():
         strip_k0(zl, RealMultiset([(3.0, 1)]), w)
 
 
+def test_strip_k0_is_one_subtraction(monkeypatch):
+    spec = Spectrum([(1.0, 0.5, 2), (1.5, 0.0, 1), (3.0, math.pi, 1)])
+    w = ZeroWindow(0, 30.0)
+    zl = zero_line(spec, 1, w)
+    calls = []
+    real = RealMultiset._subtract
+
+    def counted(self, *args):
+        calls.append(len(args[0]))
+        return real(self, *args)
+
+    monkeypatch.setattr(RealMultiset, "_subtract", counted)
+    rest = strip_k0(zl, spec.lengths(), w)
+    assert calls == [sum(len(trace_reference(a, 0.0, (0,), w, pad=1)) for a in (1.0, 1.5, 3.0))]
+    assert rest.entries == strip_k0_reference(zl.entries, spec.lengths(), w, 1e-9)
+
+
 def test_subtract_trace_strict_interior():
     w = ZeroWindow(0, 10.0)
     data = RealMultiset.from_values(class_trace(2.0, 0.0, (0,), w))
@@ -367,3 +385,50 @@ def test_subtract_trace_matches_unique_two_pass_reference(a, b, ks, mult, span, 
         assert str(got.value) == str(exc)
     else:
         assert subtract_trace(ms, a, b, ks, mult, w, tol).entries == want
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]),
+            st.sampled_from([0.0, math.pi]),
+            st.one_of(st.integers(1, 3), st.sampled_from([2**53 + 1, 2**58 + 3])),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    st.floats(3.0, 40.0),
+    st.sampled_from([0.0, 1e-10, 1e-3, 0.1, 0.5, 1.0]),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_strip_k0_matches_the_per_length_reference(rows, im_bound, tol, data):
+    # commensurable lengths whose k = 0 traces share values with each other
+    # and, at holonomy 0 or pi, with the k = +1/-1 traces.  The stored side
+    # is each padded trace with each point kept, short of a copy, over by
+    # one, dropped or moved within tol, plus strays.  One pass walks every
+    # interior pair before any edge pair, so it may succeed where the
+    # length-by-length walk fails, but never the reverse.
+    w = ZeroWindow(0, im_bound)
+    trace = [(v, m) for a, b, m in rows for v in trace_reference(a, b, (-1, 0, 1), w, pad=1)]
+    moves = data.draw(st.lists(st.integers(0, 5), min_size=len(trace), max_size=len(trace)))
+    stored = []
+    for (v, m), move in zip(trace, moves):
+        if move == 5:
+            v += tol * data.draw(st.floats(-1.0, 1.0))
+        stored.append((v, (m, m - 1, m + 1, 0, m, m)[move]))
+    stray = st.tuples(st.floats(-im_bound, im_bound), st.integers(1, 2))
+    stored += data.draw(st.lists(stray, max_size=4))
+    while sum(m for _, m in stored) >= 2**63:  # the multiset's total bound
+        stored.pop(0)
+    ms = RealMultiset(stored, tol=0.0)
+    lengths = RealMultiset([(a, m) for a, _, m in rows])
+    try:
+        want = strip_k0_reference(ms.entries, lengths, w, tol)
+    except UnderflowError:
+        want = None
+    try:
+        got = strip_k0(ms, lengths, w, tol).entries
+    except UnderflowError:
+        got = None
+    assert got == want or want is None

@@ -278,6 +278,26 @@ def test_zeta_ratio_denominator_zero():
         zeta_ratio(num, den, 0, 0.0 + 0.0j, 2)
 
 
+def test_zeta_ratio_denominator_underflow():
+    # the k = 0, (0, 0) factor is about 1e-12, so log zeta is about -27600: exp underflows
+    with pytest.raises(DivisionByZero, match="denominator zeta underflowed to 0"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            zeta_ratio(Spectrum(), Spectrum([(1.0, 0.0, 1000)]), 0, 1e-12 + 0j, 2)
+
+
+def test_zeta_past_the_float_range_is_domain_error():
+    small = Spectrum([(1.0, 0.7, 1), (2.0, 1.0, 2)])
+    s = -300 + 0.3j
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(DomainError, match=r"log zeta = \(23760\+"):
+            zeta_tau(small, 0, s, 3)
+        with pytest.raises(DomainError, match="past the float range"):
+            zeta_ratio(small, Spectrum([(5.0, 1.0, 1)]), 0, s, 3)
+        assert log_derivative(small, 0, s, 3).real == -80.0
+
+
 def test_zeta_ratio_numerator_zero_propagates():
     num = Spectrum([(1.0, 0.0, 1)])
     den = Spectrum([(2.0, 1.0, 1)])
