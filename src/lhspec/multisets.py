@@ -234,50 +234,55 @@ class RealMultiset(_Multiset):
         tolerance that is negative or not finite, raise ValueError.
         """
         _check_tol(tol, ValueError)
-        pairs = [(float(v), _whole(m, "multiplicity", 0, ValueError)) for v, m in pairs]
-        values = np.array([v for v, _ in pairs], dtype=np.float64)
-        wants = [m for _, m in pairs]
-        return self._subtract(values, wants, tol, np.full(len(pairs), bool(partial)))
-
-    def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray):
-        """``subtract`` of the pairs zip(values, wants), given as arrays, in one pass.
-
-        ``partial`` forgives the shortfall of the pairs it marks.  All pairs
-        are matched at once when every tol window holds at most one entry;
-        then an entry loses the sum of the wants that hit it, and only the
-        unmarked pairs are checked for a shortfall.  Windows holding several
-        entries, and a shortfall to report, take the exact sequential walk,
-        which visits every unmarked pair before any marked one.
-        """
-        raw = wants
+        pairs = [(float(v), _whole(m, "multiplicity", 0, ValueError), partial) for v, m in pairs]
+        values = np.array([v for v, _, _ in pairs], dtype=np.float64)
         try:
-            wants = np.asarray(raw, dtype=np.int64)
+            wants = np.array([m for _, m, _ in pairs], dtype=np.int64)
         except OverflowError:  # beyond any count: only the walk's Python ints hold it
             wants = None
         # bisect and searchsorted agree on bounds that are not NaN
-        if wants is not None and not np.isnan(values).any():
-            lo = np.searchsorted(self._values, values - tol, side="left")
-            hit = np.searchsorted(self._values, values + tol, side="right") - lo
-            # the walk takes min(want, left) pair by pair; for nonnegative
-            # wants whose int64 sums cannot wrap, that is one clipped sum
-            if (
-                hit.max(initial=0) <= 1
-                and wants.min(initial=0) >= 0
-                and int(wants.max(initial=0)) * wants.size < COUNT_LIMIT
-            ):
-                # the wants summed per entry in one row for the strict pairs
-                # and one for the partial ones; a pair that hits no entry
-                # adds to the spare last column of its row
-                n = self._counts.size
-                need = np.zeros(2 * (n + 1), dtype=np.int64)
-                np.add.at(need, np.where(hit, lo, n) + partial * (n + 1), wants)
-                strict, forgiven = need[:n], need[n + 1 : -1]
-                if need[n] == 0 and not (strict > self._counts).any():
-                    left = self._counts - strict - forgiven
-                    keep = left > 0
-                    return RealMultiset._trusted(self._values[keep], left[keep])
-        wants = np.asarray(raw, dtype=object).tolist()
-        return self._subtract_exact(zip(values.tolist(), wants, partial.tolist()), tol)
+        if wants is None or np.isnan(values).any():
+            return self._subtract_exact(pairs, tol)
+        return self._subtract(values, wants, tol, np.full(len(pairs), bool(partial)), lambda: pairs)
+
+    def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray, pairs):
+        """``subtract`` of the pairs zip(values, wants), given as arrays, in one pass.
+
+        ``wants`` is one nonnegative int that every pair wants, or an int64
+        array of them; ``partial`` forgives the shortfall of the pairs it
+        marks.  ``values`` holds no NaN.  Where every tol window holds at
+        most one entry, an entry loses the sum of the wants that hit it, in
+        one ``np.bincount`` of the hit entries, one row for the strict pairs
+        and one for the marked ones, and only the strict row is compared
+        with the counts.  Anything else is decided by the exact sequential
+        walk over the (value, want, partial) triples that the zero-argument
+        callable ``pairs`` returns: a window holding several entries, a
+        strict shortfall (the walk raises with its message), and sums that
+        int64 (float64, for an array of wants) cannot hold exactly.  The
+        walk visits every unmarked pair before any marked one; where this
+        path decides, the walk would leave the same entries.
+        """
+        n = self._counts.size
+        lo = self._values.searchsorted(values - tol, side="left")
+        hit = self._values.searchsorted(values + tol, side="right") - lo
+        scalar = isinstance(wants, int)
+        if scalar:  # int64 sums of at most values.size wants
+            exact = wants * values.size < COUNT_LIMIT
+        else:  # float64 sums of integers are exact below 2**53
+            exact = int(wants.max(initial=0)) * wants.size < 2**53
+        if exact and hit.max(initial=0) <= 1:
+            # column n of each row collects the pairs that hit no entry
+            idx = np.where(hit, lo, n) + partial * (n + 1)
+            if scalar:
+                need = np.bincount(idx, minlength=2 * n + 2) * wants
+            else:
+                need = np.bincount(idx, wants, 2 * n + 2).astype(np.int64)
+            left = self._counts - need[:n]
+            if need[n] == 0 and left.min(initial=0) >= 0:
+                left -= need[n + 1 : -1]
+                keep = left > 0
+                return RealMultiset._trusted(self._values[keep], left[keep])
+        return self._subtract_exact(pairs(), tol)
 
     def _subtract_exact(self, pairs, tol: float) -> "RealMultiset":
         # the sequential rule that the vectorised path reproduces: the

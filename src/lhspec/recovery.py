@@ -18,6 +18,12 @@ cannot cover every copy of the minimal value, so ties among commensurable
 classes do not grow exponentially.  Then each attribution's trace is
 subtracted once.
 
+Every subtraction here (a length step, the strip and an attribution) is
+one ``zeros._subtract_traces`` call.  On complete data it costs a fixed
+handful of numpy calls whatever the trace size; the exact point-by-point
+walk runs only where that cannot decide, such as a missing interior point,
+whose error message the walk writes.
+
 Everything works on finite windows: a peeled class must show its first two
 trace points inside the window (IncompleteWindow otherwise), and subtraction
 shortfalls surface as NegativeMultiplicity rather than silent mis-recovery.

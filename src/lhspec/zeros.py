@@ -14,6 +14,7 @@ is checked when it is made, and the functions that take one trust it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -77,14 +78,14 @@ def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
     return out
 
 
-def _trace(rows, im_bound: float, pad: int = 0) -> np.ndarray:
-    """The progressions of the (a, b, k) rows joined in order; + 0.0 turns -0.0 into 0.0."""
-    return np.concatenate([np.empty(0), *_progressions(rows, im_bound, pad)]) + 0.0
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Progressions joined in order; + 0.0 turns -0.0 into 0.0."""
+    return np.concatenate([np.empty(0), *parts]) + 0.0
 
 
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
     """All windowed imaginary parts (-b*k - 2*n*pi)/a for k in ks (with repeats)."""
-    return _trace([(_positive(a, "length"), b, k) for k in ks], w.im_bound).tolist()
+    return _joined(_progressions([(_positive(a, "length"), b, k) for k in ks], w.im_bound)).tolist()
 
 
 def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
@@ -127,38 +128,46 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     classes = zip(diff._lengths.tolist(), diff._holonomies.tolist())
     parts = _progressions([(a, b, k) for a, b in classes for k in ks], w.im_bound)
     counts = np.repeat(np.repeat(diff._counts, len(ks)), [p.size for p in parts])
-    values = np.concatenate([np.empty(0), *parts]) + 0.0
-    return RealMultiset._from_arrays(values, counts, tol=TAU_ZERO)
+    return RealMultiset._from_arrays(_joined(parts), counts, tol=TAU_ZERO)
 
 
 def _subtract_traces(ms: RealMultiset, classes, b: float, ks, w: ZeroWindow, tol: float):
     """Remove ``mult`` copies of the trace of (a, b) over ks for each (a, mult) of classes at once.
 
-    ``mult`` and ``tol`` are trusted.  A value that several progressions of
-    one class share is one pair wanting ``mult`` copies per progression,
-    kept at its first occurrence in k-major order.  One progression repeats
-    no value unless its window holds about 2**52 points, so a single k is
-    never merged; for several, the merge runs only where a sort of the
-    joined progressions shows two equal neighbours, which for k = +1 and -1
-    needs b within rounding of 0 or pi.
+    ``mult`` and ``tol`` are trusted.  All padded progressions are built
+    in one call and handed to ``RealMultiset._subtract`` unmerged, each
+    point wanting its class's ``mult``: where every tol window holds at
+    most one entry, the copies of a value that several progressions of a
+    class share hit the same entry with the same edge flag, so their
+    summed wants are those of the merged pair.  Only the exact walk, which
+    runs where that path cannot decide, takes merged pairs: a value shared
+    within a class is one pair wanting ``mult`` copies per progression,
+    kept at its first occurrence in k-major order, with Python-int wants.
     """
-    values, wants = [np.empty(0)], [np.empty(0, dtype=np.int64)]
-    for a, mult in classes:
-        trace = _trace([(_positive(a, "length"), b, k) for k in ks], w.im_bound, pad=1)
-        seen = np.ones(trace.size, dtype=np.int64)
-        if len(ks) > 1:
-            ordered = np.sort(trace)
-            if (ordered[1:] == ordered[:-1]).any():
-                trace, first, seen = np.unique(trace, return_index=True, return_counts=True)
-                order = np.argsort(first)
-                trace, seen = trace[order], seen[order]
-        values.append(trace)
-        # past int64: Python ints, which only the exact walk takes
-        big = mult * int(seen.max(initial=0)) >= COUNT_LIMIT
-        wants.append((seen.astype(object) if big else seen) * mult)
-    values = np.concatenate(values)
+    rows = [(_positive(a, "length"), b, k) for a, _ in classes for k in ks]
+    parts = _progressions(rows, w.im_bound, pad=1)
+    values = _joined(parts)
     edge = np.abs(values) > w.im_bound - tol * max(1.0, w.im_bound)
-    return ms._subtract(values, np.concatenate(wants), tol, edge)
+    mults = [mult for _, mult in classes]
+    if len(mults) == 1:
+        wants, sizes = mults[0], [values.size]
+    else:
+        n = len(ks)  # progressions per class
+        sizes = [sum(p.size for p in parts[i * n : i * n + n]) for i in range(len(mults))]
+        wants = np.repeat(np.array(mults, dtype=np.int64), np.array(sizes, dtype=np.intp))
+
+    def pairs():
+        out = []
+        ends = list(itertools.accumulate(sizes))
+        for mult, start, end in zip(mults, [0, *ends], ends):
+            trace, first, seen = np.unique(values[start:end], return_index=True, return_counts=True)
+            order = np.argsort(first)
+            first = first[order]
+            wanted = [s * mult for s in seen[order].tolist()]
+            out += zip(trace[order].tolist(), wanted, edge[start + first].tolist())
+        return out
+
+    return ms._subtract(values, wants, tol, edge, pairs)
 
 
 def subtract_trace(

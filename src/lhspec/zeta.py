@@ -235,14 +235,19 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     """Analytic d/ds of log zeta_tau: sum of a(p)*exp(-X)/(1 - exp(-X)).
 
     Every local factor 1 - exp(-X) contributes a(p)*(1/f - 1) with f the
-    factor value, since exp(-X) = 1 - f and dX/ds = a(p).
+    factor value, since exp(-X) = 1 - f and dX/ds = a(p).  Raises
+    FactorZero if s is a zero of some local factor and DomainError when the
+    sum is not finite (where exp(-X) itself is past the float range).
     """
     # in place, so that one grid is held, with the operands of (mult * a) * (1.0 / f - 1.0)
     terms = _factor_grid(spec, tau, s, tr)
     np.divide(1.0, terms, out=terms)
     terms -= 1.0
     np.multiply((spec._counts * spec._lengths)[:, None, None, None], terms, out=terms)
-    return complex(_exact_sum(terms.real), _exact_sum(terms.imag))
+    value = complex(_exact_sum(terms.real), _exact_sum(terms.imag))
+    if not cmath.isfinite(value):
+        raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
+    return value
 
 
 def zeta_ratio(spec1: Spectrum, spec2: Spectrum, tau, s: complex, tr) -> complex:

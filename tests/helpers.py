@@ -193,6 +193,47 @@ def strip_k0_reference(entries, lengths, w, tol):
     return entries
 
 
+def recover_lengths_reference(entries, w, tol):
+    """Greedy length peeling over subtract_trace_reference, the reference for recover_lengths.
+
+    Takes the smallest positive entry s0 with its multiplicity mu, emits
+    a = 2*pi/s0 and subtracts mu copies of the k = 0 trace of a, until no
+    positive entry is left.  Returns (length entries, audit records), or
+    raises the typed error recover_lengths raises, with its message.
+    """
+    band = tol * max(1.0, w.im_bound)
+    out, audit = [], []
+    for _ in range(sum(m for _, m in entries) + 1):
+        positive = [(v, m) for v, m in entries if v > 0.0]
+        if not positive:
+            break
+        s0, mu = positive[0]
+        a = TWO_PI / s0
+        if 2.0 * s0 > w.im_bound + band:
+            raise IncompleteWindow(
+                f"window |Im(s)| <= {w.im_bound!r} cannot contain the first two trace "
+                f"points of recovered length {a!r}"
+            )
+        try:
+            rest = subtract_trace_reference(entries, a, 0.0, (0,), mu, w, tol)
+        except UnderflowError as exc:
+            raise NegativeMultiplicity(
+                f"trace of recovered length {a!r} is not fully present: {exc}"
+            ) from exc
+        record = {"smallest": s0, "length": a, "multiplicity": mu}
+        record["trace_points"] = trace_reference(a, 0.0, (0,), w).size
+        record["removed"] = sum(m for _, m in entries) - sum(m for _, m in rest)
+        audit.append(record)
+        out.append((a, mu))
+        entries = rest
+    if entries:
+        raise IncompleteWindow(
+            f"unpeeled residual of total multiplicity {sum(m for _, m in entries)} remains; "
+            "the window is too small for some class or the input is not a complete zero line"
+        )
+    return RealMultiset(out, tol).entries, audit
+
+
 def _probe_points_reference(trace, im_bound, band):
     interior = np.sort(trace[np.abs(np.abs(trace) - im_bound) > band])
     n = interior.size

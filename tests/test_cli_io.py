@@ -411,6 +411,15 @@ def test_zeta_past_the_float_range_is_domain_error(capsys):
     assert json.loads(capsys.readouterr().out)["value"]["re"] == -80
 
 
+@pytest.mark.parametrize("command", ["zeta", "psi"])
+def test_overflowing_factor_grid_is_domain_error(command, capsys):
+    # at Re(s) = -800 exp(-X) itself overflows, so the psi sum is not finite
+    code = run_cli([command, str(DATA / "small.csv"), "--s=-800+0.3i", "--maxm", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    assert json.loads(captured.out)["error"]["code"] == "domain_error"
+
+
 def test_compare_cancelling_multiplicities_past_int64_is_domain_error(tmp_path, capsys):
     path = tmp_path / "huge.csv"
     path.write_text("length,holonomy,multiplicity\n" + "2.0,0.5,4611686018427387904\n" * 2)

@@ -37,7 +37,10 @@ from helpers import (
     commensurable_spectrum,
     expected_ratio_pairs,
     rand_spectrum,
+    recover_lengths_reference,
     recover_ratios_reference,
+    strip_k0_reference,
+    trace_reference,
 )
 
 PI = math.pi
@@ -138,6 +141,58 @@ def test_recover_lengths_missing_trace_point():
 def test_recover_lengths_unpeelable_residual():
     with pytest.raises(IncompleteWindow):
         recover_lengths(RealMultiset.from_values([-1.0]), ZeroWindow(0, 5.0))
+
+
+@st.composite
+def length_lines(draw):
+    # the zero line at twist 0 or 1 of up to four classes: lengths that share
+    # trace points, holonomies 0 and pi among others, multiplicities up to
+    # 2**58, each point kept, dropped, doubled or moved within tol
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.4, 5.0),
+                st.sampled_from([0.0, PI]) | st.floats(0.1, TWO_PI - 0.1),
+                st.integers(1, 3) | st.sampled_from([2**53 + 1, 2**58]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    w = ZeroWindow(0, draw(st.floats(1.5, 25.0)) * PI / min(a for a, _, _ in rows))
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-9, 1e-6, 1e-3, 0.1, 0.5, 1.0]))
+    ks = draw(st.sampled_from([(0,), (0,), (1, -1)]))
+    points = [(v, m) for a, b, m in rows for v in trace_reference(a, b, ks, w).tolist()]
+    kinds = draw(st.sampled_from(["k", "k" * 30 + "dxm"]))
+    moves = draw(st.lists(st.sampled_from(kinds), min_size=len(points), max_size=len(points)))
+    stored = []
+    for (v, m), move in zip(points, moves):
+        if move == "m":  # within tol, and never nearer 0 than half way
+            v += min(tol, abs(v) / 2) * draw(st.floats(-1.0, 1.0))
+        stored.append((v, {"k": m, "d": m - 1, "x": 2 * m, "m": m}[move]))
+    while sum(m for _, m in stored) >= 2**63:  # the multiset's total bound
+        stored.pop(0)
+    return RealMultiset(stored, tol=0.0), w, tol
+
+
+def length_outcome(ms, w, tol):
+    """recover_lengths's (length entries, audit records), or its error's type and message."""
+    audit = []
+    try:
+        return recover_lengths(ms, w, tol, audit).entries, audit
+    except SpectralError as exc:
+        return type(exc), str(exc)
+
+
+@given(length_lines())
+@settings(max_examples=200, deadline=None)
+def test_recover_lengths_matches_greedy_reference(inputs):
+    ms, w, tol = inputs
+    try:
+        want = recover_lengths_reference(ms.entries, w, tol)
+    except SpectralError as exc:
+        want = type(exc), str(exc)
+    assert length_outcome(ms, w, tol) == want
 
 
 def test_recover_ratios_single_class_example():
@@ -491,6 +546,29 @@ def test_each_forced_batch_subtracts_once(monkeypatch):
     got = recover_ratios(cur, spec.lengths(), w)
     assert multiset_equal(got, RealMultiset([(0.5, 3), (0.65, 2)]), 1e-9)
     assert [(a, mult) for a, _, _, mult in calls] == [(1.0, 3), (2.0, 2)]
+
+
+def test_exact_complete_lines_never_take_the_exact_walk(rng, monkeypatch):
+    # on exact, complete zero lines every tol window holds one entry and no
+    # step falls short, so the one-pass path of RealMultiset._subtract
+    # decides each length step, the strip and each attribution.  A tie
+    # branch that underflows takes the walk for its message, so the ratio
+    # stage runs on spectra whose ties all subtract
+    def walk(*args):
+        raise AssertionError("the exact walk ran")
+
+    monkeypatch.setattr(RealMultiset, "_subtract_exact", walk)
+    specs = [rand_spectrum(rng, max_classes=10) for _ in range(4)]
+    specs += [commensurable_spectrum(rng, lengths) for lengths in ((1.0, 2.0), (0.5, 1.5, 3.0))]
+    specs += [tied_family(8, 1), tied_family(4, 50)]
+    for spec in specs:
+        assert multiset_equal(roundtrip_ratios(spec), RealMultiset(expected_ratio_pairs(spec)), 1e-8)
+    # holonomy 0 and pi: k = +1 and -1 progressions share every point
+    spec = Spectrum([(2.0, 0.0, 1), (1.0, 1.3, 1), (3.0, PI, 2), (1.5, 0.0, 2)])
+    lengths, w = roundtrip_lengths(spec)
+    assert multiset_equal(lengths, spec.lengths(), 1e-9)
+    line = zero_line(spec, 1, w)
+    assert strip_k0(line, lengths, w).entries == strip_k0_reference(line.entries, lengths, w, 1e-9)
 
 
 def test_recover_ratios_counts_a_huge_trace_without_len():

@@ -326,6 +326,15 @@ def test_subtract_trace_rejects_bad_multiplicity_and_tolerance():
     assert subtract_trace(data, 1.0, 0.0, (0,), 2.0, w).total() == 0
 
 
+@pytest.mark.parametrize("mult", [2**63, 2**64 + 3])
+def test_subtract_trace_multiplicity_past_int64(mult):
+    # no int64 count holds the want: the walk's Python ints report the shortfall
+    w = ZeroWindow(0, 10.0)
+    data = RealMultiset.from_values(class_trace(2.0, 0.0, (0,), w))
+    with pytest.raises(UnderflowError, match=f"cannot remove {mult - 1} more copies of 9.42"):
+        subtract_trace(data, 2.0, 0.0, (0,), mult, w)
+
+
 def test_subtract_trace_forgives_window_edge():
     # outermost trace point exactly at the boundary: a subtracting side whose
     # recovered length rounds the inclusion differently must still succeed

@@ -325,7 +325,7 @@ def test_values_are_finite_on_random_inputs(rng):
 def _outcome(f, *args):
     try:
         return repr(f(*args))
-    except (ArithmeticError, ValueError, FactorZero) as exc:
+    except (ArithmeticError, ValueError, FactorZero, DomainError) as exc:
         return type(exc).__name__, str(exc)
 
 
@@ -401,6 +401,7 @@ points = st.sampled_from([0j, -1 + 0j, 2.5 + 0j, 2.05 + 0.5j]) | st.builds(
 @example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 0, -1 + 0j, 2)
 @example([(1.0, 0.5, 1)], 1, -1 + 0j, 2)
 @example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 1, -2 + 0j, 2)
+@example([(1.0, 0.0, 1)], 0, 2.225073858507203e-309j, 30)  # a NaN psi sum
 @settings(max_examples=150, deadline=None)
 def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
     spec = Spectrum(rows)
@@ -409,8 +410,16 @@ def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
         got_log = _outcome(zeta_tau, spec, tau_m, s, max_m)
         got_psi = _outcome(log_derivative, spec, tau_m, s, max_m)
     want_log = _outcome(lambda: complex(np.exp(grid_sum_reference(spec, tau_m, s, max_m, True))))
-    want_psi = _outcome(grid_sum_reference, spec, tau_m, s, max_m, False)
+    want_psi = _outcome(psi_reference, spec, tau_m, s, max_m)
     assert (got_log, got_psi) == (want_log, want_psi)
+
+
+def psi_reference(spec, tau_m, s, max_m):
+    """The fsum reference of log_derivative, which refuses a sum that is not finite."""
+    value = grid_sum_reference(spec, tau_m, s, max_m, False)
+    if not cmath.isfinite(value):
+        raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
+    return value
 
 
 # the grid against the per-(class, k) reference bit for bit, as uint64 views
