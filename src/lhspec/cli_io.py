@@ -32,7 +32,7 @@ from typing import Iterable
 import numpy as np
 
 from . import lie_so31
-from .errors import DomainError, ParseError, SpectralError, _reduce_holonomy, _whole
+from .errors import ConvergenceWarning, DomainError, ParseError, SpectralError, _reduce_holonomy, _whole
 from .geodesic import PrimitiveClass, Spectrum, _validate, classify
 from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset, _count_array, _Multiset
 from .recovery import RecoveryReport, match_multisets, recover_lengths, recover_ratios, smo_check
@@ -335,7 +335,7 @@ def _cmd_evaluate(args) -> dict:
         "s": s,
         "tau": args.tau,
         "max_m": args.maxm,
-        "convergence_warning": any("half-plane" in str(w.message) for w in caught),
+        "convergence_warning": any(issubclass(w.category, ConvergenceWarning) for w in caught),
     }
 
 

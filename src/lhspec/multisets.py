@@ -227,23 +227,16 @@ class RealMultiset(_Multiset):
     ) -> "RealMultiset":
         """Remove the given pairs, matching values within tol.
 
-        Multiple stored entries inside the tol window are drained in order
-        of proximity.  With ``partial=True`` a shortfall is forgiven (used
-        for points sitting on the window boundary); otherwise it raises
-        UnderflowError.  A want that is negative or not an integer, and a
-        tolerance that is negative or not finite, raise ValueError.
+        The pairs are walked one by one, in order; each drains the stored
+        entries inside its tol window in order of proximity.  With
+        ``partial=True`` a shortfall is forgiven (used for points sitting on
+        the window boundary); otherwise it raises UnderflowError.  A want
+        that is negative or not an integer, and a tolerance that is negative
+        or not finite, raise ValueError.
         """
         _check_tol(tol, ValueError)
         pairs = [(float(v), _whole(m, "multiplicity", 0, ValueError), partial) for v, m in pairs]
-        values = np.array([v for v, _, _ in pairs], dtype=np.float64)
-        try:
-            wants = np.array([m for _, m, _ in pairs], dtype=np.int64)
-        except OverflowError:  # beyond any count: only the walk's Python ints hold it
-            wants = None
-        # bisect and searchsorted agree on bounds that are not NaN
-        if wants is None or np.isnan(values).any():
-            return self._subtract_exact(pairs, tol)
-        return self._subtract(values, wants, tol, np.full(len(pairs), bool(partial)), lambda: pairs)
+        return self._subtract_exact(pairs, tol)
 
     def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray, pairs):
         """``subtract`` of the pairs zip(values, wants), given as arrays, in one pass.
@@ -251,32 +244,26 @@ class RealMultiset(_Multiset):
         ``wants`` is one nonnegative int that every pair wants, or an int64
         array of them; ``partial`` forgives the shortfall of the pairs it
         marks.  ``values`` holds no NaN.  Where every tol window holds at
-        most one entry, an entry loses the sum of the wants that hit it, in
-        one ``np.bincount`` of the hit entries, one row for the strict pairs
-        and one for the marked ones, and only the strict row is compared
-        with the counts.  Anything else is decided by the exact sequential
-        walk over the (value, want, partial) triples that the zero-argument
-        callable ``pairs`` returns: a window holding several entries, a
-        strict shortfall (the walk raises with its message), and sums that
-        int64 (float64, for an array of wants) cannot hold exactly.  The
-        walk visits every unmarked pair before any marked one; where this
-        path decides, the walk would leave the same entries.
+        most one entry and no int64 sum can wrap (the largest want times
+        the number of pairs stays below 2**63), an entry loses the sum of
+        the wants that hit it, added up by one ``np.add.at`` into one row
+        for the strict pairs and one for the marked ones, and only the
+        strict row is compared with the counts.  Anything else is decided
+        by the exact sequential walk over the (value, want, partial)
+        triples that the zero-argument callable ``pairs`` returns: a window
+        holding several entries, a strict shortfall (the walk raises with
+        its message), and sums past int64.  The walk visits every unmarked
+        pair before any marked one; where this path decides, the walk would
+        leave the same entries.
         """
         n = self._counts.size
         lo = self._values.searchsorted(values - tol, side="left")
         hit = self._values.searchsorted(values + tol, side="right") - lo
-        scalar = isinstance(wants, int)
-        if scalar:  # int64 sums of at most values.size wants
-            exact = wants * values.size < COUNT_LIMIT
-        else:  # float64 sums of integers are exact below 2**53
-            exact = int(wants.max(initial=0)) * wants.size < 2**53
-        if exact and hit.max(initial=0) <= 1:
+        top = wants if isinstance(wants, int) else int(wants.max(initial=0))
+        if top * values.size < COUNT_LIMIT and hit.max(initial=0) <= 1:
             # column n of each row collects the pairs that hit no entry
-            idx = np.where(hit, lo, n) + partial * (n + 1)
-            if scalar:
-                need = np.bincount(idx, minlength=2 * n + 2) * wants
-            else:
-                need = np.bincount(idx, wants, 2 * n + 2).astype(np.int64)
+            need = np.zeros(2 * n + 2, dtype=np.int64)
+            np.add.at(need, np.where(hit, lo, n) + partial * (n + 1), wants)
             left = self._counts - need[:n]
             if need[n] == 0 and left.min(initial=0) >= 0:
                 left -= need[n + 1 : -1]
@@ -285,8 +272,8 @@ class RealMultiset(_Multiset):
         return self._subtract_exact(pairs(), tol)
 
     def _subtract_exact(self, pairs, tol: float) -> "RealMultiset":
-        # the sequential rule that the vectorised path reproduces: the
-        # (value, want, partial) triples in order, the strict ones first
+        # the sequential rule of ``subtract``, which ``_subtract`` reproduces:
+        # the (value, want, partial) triples in order, the strict ones first
         avail = [[v, m] for v, m in self.entries]
         vals = self._values.tolist()
         for value, want, partial in sorted(pairs, key=lambda p: p[2]):

@@ -56,7 +56,7 @@ from .multisets import (
     match_multisets,
     multiset_equal,
 )
-from .zeros import ZeroWindow, _n_range, strip_k0, subtract_trace, zero_line
+from .zeros import ZeroWindow, _band, _n_range, strip_k0, subtract_trace, zero_line
 
 __all__ = [
     "RecoveryReport",
@@ -85,7 +85,7 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
     checks: removed == mu * trace size away from the window edge).
     """
     cur = _coerce(z, _check_tol(tol, DomainError))
-    band = tol * max(1.0, w.im_bound)
+    band = _band(w, tol)
     out: list[tuple[float, int]] = []
     for _ in range(cur.total() + 1):
         mp = cur.min_positive()
@@ -314,7 +314,7 @@ def recover_ratios(
     """
     cur = _coerce(z_pm, _check_tol(tol, DomainError))
     lengths = _coerce(lengths, tol)
-    ctx = _SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound))
+    ctx = _SearchCtx(w=w, tol=tol, band=_band(w, tol))
     avail = [[a, m] for a, m in lengths]
     _peel_ratios(cur, avail, (), (), ctx)
     distinct = ctx.distinct

@@ -14,7 +14,6 @@ is checked when it is made, and the functions that take one trust it.
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import NamedTuple, Sequence
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, UnderflowError, _check_tol, _positive, _whole
 from .geodesic import Spectrum
-from .multisets import COUNT_LIMIT, TAU_ZERO, ComplexMultiset, RealMultiset
+from .multisets import TAU_ZERO, ComplexMultiset, RealMultiset
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,21 +60,31 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
     return range(math.ceil(lo), math.floor(hi) + 1)
 
 
+#: the most points one call may build, counted before any is allocated
+_POINT_CAP = 2**24
+
+
 def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
     """(-b*k - 2*n*pi)/a for each (a, b, k) row, n ascending over the window and ``pad`` past it.
 
-    Each progression is counted from its n-range bounds before it is built:
-    DomainError when it would hold 2**63 points or more.
+    The points of all rows, padding included, are counted from their
+    n-range bounds before any is built: DomainError when they reach the
+    point cap.
     """
-    out = []
+    spans, total = [], 0
     for a, b, k in rows:
         r = _n_range(a, b, k, im_bound)
-        if r.stop - r.start + 2 * pad >= COUNT_LIMIT:
-            msg = f"window im_bound {im_bound!r} holds 2**63 or more points of class ({a!r}, {b!r})"
-            raise DomainError(msg)
-        n = np.arange(r.start - pad, r.stop + pad, dtype=np.float64)
-        out.append((-b * k - TWO_PI * n) / a)
-    return out
+        total += r.stop - r.start + 2 * pad
+        spans.append((a, b, k, r.start - pad, r.stop + pad))
+    if total >= _POINT_CAP:
+        msg = f"window im_bound {im_bound!r} asks for {_POINT_CAP} points or more (the point cap)"
+        raise DomainError(msg)
+    return [(-b * k - TWO_PI * np.arange(lo, hi, dtype=np.float64)) / a for a, b, k, lo, hi in spans]
+
+
+def _band(w: ZeroWindow, tol: float) -> float:
+    """Width of the edge zone of w at tolerance tol, inside which trace points may be missing."""
+    return tol * max(1.0, w.im_bound)
 
 
 def _joined(parts: list[np.ndarray]) -> np.ndarray:
@@ -136,30 +145,30 @@ def _subtract_traces(ms: RealMultiset, classes, b: float, ks, w: ZeroWindow, tol
 
     ``mult`` and ``tol`` are trusted.  All padded progressions are built
     in one call and handed to ``RealMultiset._subtract`` unmerged, each
-    point wanting its class's ``mult``: where every tol window holds at
-    most one entry, the copies of a value that several progressions of a
-    class share hit the same entry with the same edge flag, so their
-    summed wants are those of the merged pair.  Only the exact walk, which
-    runs where that path cannot decide, takes merged pairs: a value shared
-    within a class is one pair wanting ``mult`` copies per progression,
-    kept at its first occurrence in k-major order, with Python-int wants.
+    point wanting its class's ``mult`` (one int for one class, an int64
+    array for several): where every tol window holds at most one entry,
+    the copies of a value that several progressions of a class share hit
+    the same entry with the same edge flag, so their summed wants are
+    those of the merged pair.  Only the exact walk, which runs where that
+    path cannot decide, takes merged pairs: a value shared within a class
+    is one pair wanting ``mult`` copies per progression, kept at its first
+    occurrence in k-major order, with Python-int wants.
     """
     rows = [(_positive(a, "length"), b, k) for a, _ in classes for k in ks]
     parts = _progressions(rows, w.im_bound, pad=1)
     values = _joined(parts)
-    edge = np.abs(values) > w.im_bound - tol * max(1.0, w.im_bound)
+    edge = np.abs(values) > w.im_bound - _band(w, tol)
     mults = [mult for _, mult in classes]
-    if len(mults) == 1:
-        wants, sizes = mults[0], [values.size]
-    else:
-        n = len(ks)  # progressions per class
-        sizes = [sum(p.size for p in parts[i * n : i * n + n]) for i in range(len(mults))]
-        wants = np.repeat(np.array(mults, dtype=np.int64), np.array(sizes, dtype=np.intp))
+    n = len(ks)  # progressions per class
+    sizes = [p.size for p in parts]
+    wants = (
+        mults[0] if len(mults) == 1 else np.repeat(np.array(mults, dtype=np.int64).repeat(n), sizes)
+    )
 
     def pairs():
-        out = []
-        ends = list(itertools.accumulate(sizes))
-        for mult, start, end in zip(mults, [0, *ends], ends):
+        out, end = [], 0
+        for i, mult in enumerate(mults):
+            start, end = end, end + sum(sizes[i * n : i * n + n])
             trace, first, seen = np.unique(values[start:end], return_index=True, return_counts=True)
             order = np.argsort(first)
             first = first[order]

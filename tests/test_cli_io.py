@@ -926,4 +926,45 @@ def test_window_of_2_63_points_is_domain_error(command, tmp_path, capsys):
     path.write_text("length,holonomy,multiplicity\n1e300,0.5,1\n")
     assert run_cli([command, str(path), "--imbound", "10"]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
-    assert err["code"] == "domain_error" and "2**63" in err["message"]
+    assert err["code"] == "domain_error" and "point cap" in err["message"]
+
+
+@pytest.mark.parametrize(
+    "files, argv",
+    [
+        # a = 2*pi/1e-7 from the smallest zero: 200,000,003 trace points
+        (
+            {"z.json": '{"m0": [0.0, 1e-7, 3.141592653589793, -3.141592653589793]}'},
+            ["recover", "z.json", "--kind", "zeros", "--imbound", "10"],
+        ),
+        # the default window 20*pi/1e-6 holds 2e10 points of the length 1e3
+        (
+            {"tiny.csv": "length,holonomy,multiplicity\n1e-6,0.5,1\n1e3,0.7,1\n"},
+            ["recover", "tiny.csv"],
+        ),
+        ({}, ["zeros", str(DATA / "small.csv"), "--imbound", "1e9", "--maxm", "0"]),
+    ],
+    ids=["recover_zeros", "recover_default_window", "zeros"],
+)
+def test_window_past_the_point_cap_is_domain_error(files, argv, tmp_path, capsys, monkeypatch):
+    # refused before any progression is built: numpy allocations are traced too
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 1 and captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "domain_error" and "point cap" in err["message"]
+    assert peak < 2**20
+
+
+def test_zeta_reports_the_convergence_warning(capsys):
+    # Re(s) = 1 lies outside the half-plane Re(s) > 2 where the product converges
+    assert run_cli(["zeta", str(DATA / "small.csv"), "--s", "1+0.5i", "--maxm", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["convergence_warning"] is True

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,7 +114,12 @@ grid_pairs = st.lists(
     st.tuples(st.integers(-8, 8).map(lambda i: i * 0.25), st.integers(1, 3)), max_size=10
 )
 query_pairs = st.lists(
-    st.tuples(st.integers(-16, 16).map(lambda i: i * 0.125), st.integers(0, 4)), max_size=10
+    st.tuples(
+        st.integers(-16, 16).map(lambda i: i * 0.125),
+        # wants near 2**62 reach both sides of the int64 exactness rule
+        st.integers(0, 4) | st.integers(2**61, 2**62),
+    ),
+    max_size=10,
 )
 
 
@@ -128,18 +134,28 @@ def test_canonical_form_matches_sequential_clustering(pairs, tol):
     assert RealMultiset(pairs, tol).entries == tuple(cluster_reference(pairs, tol))
 
 
+def subtract_arrays(ms, pairs, tol, partial):
+    """The pairs through the vectorised ``_subtract``: one int when all wants agree."""
+    values = np.array([v for v, _ in pairs], dtype=np.float64)
+    wants = [m for _, m in pairs]
+    wants = wants[0] if len(set(wants)) == 1 else np.array(wants, dtype=np.int64)
+    triples = [(v, m, partial) for v, m in pairs]
+    return ms._subtract(values, wants, tol, np.full(len(pairs), partial), lambda: triples)
+
+
 @given(grid_pairs, query_pairs, st.sampled_from([0.0, 0.1, 0.3, 0.6]), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_subtract_matches_sequential_reference(stored, pairs, tol, partial):
     ms = RealMultiset(stored, tol=0.0)
-    try:
-        want = subtract_reference(ms.entries, pairs, tol, partial)
-    except UnderflowError as exc:
-        with pytest.raises(UnderflowError) as got:
-            ms.subtract(pairs, tol, partial)
-        assert str(got.value) == str(exc)
-    else:
-        assert ms.subtract(pairs, tol, partial).entries == want
+    for subtract in (RealMultiset.subtract, subtract_arrays):
+        try:
+            want = subtract_reference(ms.entries, pairs, tol, partial)
+        except UnderflowError as exc:
+            with pytest.raises(UnderflowError) as got:
+                subtract(ms, pairs, tol, partial)
+            assert str(got.value) == str(exc)
+        else:
+            assert subtract(ms, pairs, tol, partial).entries == want
 
 
 @given(grid_pairs, grid_pairs, st.sampled_from([0.0, 0.1, 0.3, 0.6]))

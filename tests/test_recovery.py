@@ -574,7 +574,7 @@ def test_exact_complete_lines_never_take_the_exact_walk(rng, monkeypatch):
 def test_recover_ratios_counts_a_huge_trace_without_len():
     # a 1e300 length has about 3e300 trace points in the window: counted from the
     # n-range bounds, never by len(), and refused with a typed error
-    with pytest.raises(DomainError, match=r"2\*\*63"):
+    with pytest.raises(DomainError, match="point cap"):
         recover_ratios(
             RealMultiset.from_values([1e-300]), RealMultiset([(1e300, 1)]), ZeroWindow(0, 10.0)
         )

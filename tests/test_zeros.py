@@ -21,6 +21,7 @@ from lhspec import (
     zero_line,
     zero_multiset,
 )
+from lhspec import zeros
 from lhspec.zeros import subtract_trace
 
 from helpers import (
@@ -273,8 +274,19 @@ def test_strip_k0_takes_the_tolerance():
 )
 def test_window_of_2_63_points_is_counted_not_allocated(build):
     # im_bound * length is finite, so the n-range exists, but it holds about 1e300 points
-    with pytest.raises(DomainError, match=r"2\*\*63"):
+    with pytest.raises(DomainError, match="point cap"):
         build(Spectrum([(1e300, 0.5, 1)]), ZeroWindow(0, 10.0))
+
+
+def test_point_cap_counts_every_row_with_its_padding(monkeypatch):
+    # one k = 0 row of length 1 in |Im| <= 10 holds n = -1..1; padded, 5 points
+    w = ZeroWindow(0, 10.0)
+    monkeypatch.setattr(zeros, "_POINT_CAP", 10)
+    assert len(class_trace(1.0, 0.0, (0, 0), w)) == 6
+    with pytest.raises(DomainError, match="point cap"):
+        subtract_trace(RealMultiset(), 1.0, 0.0, (0, 0), 0, w)
+    monkeypatch.setattr(zeros, "_POINT_CAP", 11)
+    assert subtract_trace(RealMultiset(), 1.0, 0.0, (0, 0), 0, w) == RealMultiset()
 
 
 def test_strip_k0_mismatched_lengths_underflows():
@@ -300,6 +312,23 @@ def test_strip_k0_is_one_subtraction(monkeypatch):
     rest = strip_k0(zl, spec.lengths(), w)
     assert calls == [sum(len(trace_reference(a, 0.0, (0,), w, pad=1)) for a in (1.0, 1.5, 3.0))]
     assert rest.entries == strip_k0_reference(zl.entries, spec.lengths(), w, 1e-9)
+
+
+def test_strip_k0_sums_wants_past_2_53_without_the_walk(monkeypatch):
+    # about 2**59 copies per entry: float64 sums would round, int64 sums stay exact
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 1.0, 2)])
+    w = ZeroWindow(0, 20.0 * math.pi)
+    line = zero_line(spec, 1, w)
+    f = 2**62 // (4 * line.total())
+    line = RealMultiset([(v, m * f) for v, m in line])
+    lengths = RealMultiset([(a, m * f) for a, m in spec.lengths()])
+
+    def walk(*args):
+        raise AssertionError("the exact walk ran")
+
+    expected = strip_k0_reference(line.entries, lengths, w, 1e-9)
+    monkeypatch.setattr(RealMultiset, "_subtract_exact", walk)
+    assert strip_k0(line, lengths, w).entries == expected
 
 
 def test_subtract_trace_strict_interior():
