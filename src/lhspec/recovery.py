@@ -56,7 +56,15 @@ from .multisets import (
     match_multisets,
     multiset_equal,
 )
-from .zeros import ZeroWindow, _band, _n_range, strip_k0, subtract_trace, zero_line
+from .zeros import (
+    ZeroWindow,
+    _band,
+    _length_multiset,
+    _n_range,
+    strip_k0,
+    subtract_trace,
+    zero_line,
+)
 
 __all__ = [
     "RecoveryReport",
@@ -310,10 +318,11 @@ def recover_ratios(
 
     Zero-holonomy classes surface as a doubled copy of their k = 0 trace
     (one copy per k = +1 and -1); they are reported as ratio 0 carrying that
-    leftover multiplicity (twice the class multiplicity).
+    leftover multiplicity (twice the class multiplicity).  ``lengths`` may
+    also be plain (length, multiplicity) pairs, checked as in ``strip_k0``.
     """
     cur = _coerce(z_pm, _check_tol(tol, DomainError))
-    lengths = _coerce(lengths, tol)
+    lengths = _length_multiset(lengths, tol)
     ctx = _SearchCtx(w=w, tol=tol, band=_band(w, tol))
     avail = [[a, m] for a, m in lengths]
     _peel_ratios(cur, avail, (), (), ctx)

@@ -102,8 +102,23 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
 
     Runs over k in {-m..m}, lattice points with m1 + m2 <= max_m, and all
     in-window integers n; coincident values merge with exact multiplicities.
+    Each class gives (2m+1)(max_m+1)(max_m+2)/2 progressions, of at most
+    im_bound*a/pi + 1 points each: their product, summed over the classes,
+    is counted before any progression is built, and DomainError raised
+    when it reaches the point cap.
     """
     tau_m = _whole(tau, "twist index", 0)
+    per_class = (2 * tau_m + 1) * (w.max_m + 1) * (w.max_m + 2) // 2
+    widths = w.im_bound * diff._lengths / math.pi + 1.0
+    if not np.isfinite(widths).all():  # im_bound * a overflows: no n-range, as _n_range says
+        c = int(np.flatnonzero(~np.isfinite(widths))[0])
+        _n_range(diff._lengths.item(c), diff._holonomies.item(c), 0, w.im_bound)
+    if min(per_class, _POINT_CAP) * float(widths.sum()) >= _POINT_CAP:  # no float of a huge int
+        msg = (
+            f"zero multiset of twist index {tau_m} in window {tuple(w)!r} asks for "
+            f"{_POINT_CAP} points or more (the point cap)"
+        )
+        raise DomainError(msg)
     # one progression per (class, k, m1, m2) in this order, which decides the
     # sign of a zero imaginary part where -0.0 and 0.0 coincide
     ims: list[np.ndarray] = []
@@ -207,6 +222,11 @@ def subtract_trace(
     return _subtract_traces(ms, [(a, mult)], b, ks, w, _check_tol(tol, ValueError))
 
 
+def _length_multiset(lengths, tol: float) -> RealMultiset:
+    """``lengths`` as a RealMultiset: (length, multiplicity) pairs are checked as it checks them."""
+    return lengths if isinstance(lengths, RealMultiset) else RealMultiset(lengths, tol)
+
+
 def strip_k0(
     zl: RealMultiset, lengths: RealMultiset, w: ZeroWindow, tol: float = TAU_ZERO
 ) -> RealMultiset:
@@ -215,9 +235,12 @@ def strip_k0(
     What remains of an m = 1 zero line is the k = +1/-1 data the ratio
     recovery peels.  The traces of all lengths go in one pass that matches
     within ``tol`` as ``subtract_trace`` does, and raises ValueError unless
-    ``tol`` is finite and nonnegative.  No lengths remove nothing.
+    ``tol`` is finite and nonnegative.  ``lengths`` may also be plain
+    (length, multiplicity) pairs, which are checked as ``RealMultiset``
+    checks them.  No lengths remove nothing.
     """
     tol = _check_tol(tol, ValueError)
+    lengths = _length_multiset(lengths, tol)
     try:
         return _subtract_traces(zl, lengths, 0.0, (0,), w, tol)
     except UnderflowError as exc:

@@ -7,17 +7,26 @@ the triple product over k in {-m..m}, classes p, and semilattice points
     1 - exp(-X),   X = i*k*b(p) + (m1+m2)*a(p) + i*(m1-m2)*b(p) + s*a(p),
 
 each lattice point entering with exponent 1.  The twist index m and the
-truncation order are plain integers.  All factors are evaluated on one
-numpy grid over (class, k, m1, m2), of fewer than 2**26 factors.  Re(X)
-depends on (class, m1+m2) and Im(X) on (class, k, m1-m2) alone, so exp and
-expm1 run on the first of these small arrays and sin on the second, and
-the grid reads them through Hankel and Toeplitz views.  Products are exact
-(correctly rounded) sums of log-factors with a single final exponential:
-the terms are split into integer bit-position weights, packed into int64
-limbs and finished by a few int.from_bytes calls, so results are
-deterministic and do not underflow for deep truncations.  The full product
-converges for Re(s) > 2; the truncated one is defined wherever no factor
-vanishes, with a ConvergenceWarning outside the half-plane.
+truncation order are plain integers.  A grid over (class, k, m1, m2) holds
+fewer than 2**26 factors.  Re(X) depends on (class, m1+m2) and Im(X) on
+(class, k, m1-m2) alone, so exp and expm1 run on the first of these small
+arrays and sin on the second; the factors are built from them, through
+Hankel and Toeplitz views for the whole grid or gathered for a subset.
+Products are exact (correctly rounded) sums of log-factors with a single
+final exponential: the terms are split into integer bit-position weights,
+packed into int64 limbs and finished by a few int.from_bytes calls, so
+results are deterministic and do not underflow for deep truncations.
+
+Most factors are 1 to far less than an ulp of the sum.  exp(-Re X) falls
+as m1 + m2 grows, so each class's factors that matter are its rows of
+smallest m1 + m2.  The sums leave out the rows whose terms are bounded
+below a fixed share of the largest row's, take the exact sum S of the
+rest, and round S minus and plus the bound on what was left out: when
+both give the same float, it is the correctly rounded sum of every term,
+so values equal math.fsum of every term bit for bit.  Otherwise every term
+is summed (see _euler_sum).  The full product converges for Re(s) > 2;
+the truncated one is defined wherever no factor vanishes, with a
+ConvergenceWarning outside the half-plane.
 """
 
 from __future__ import annotations
@@ -123,8 +132,12 @@ _EXP_OFFSET = 1074
 _LIMB = 8
 
 
-def _exact_sum(x: np.ndarray) -> float:
-    """The correctly rounded sum of float64 terms, equal to math.fsum.
+# the exact sum of float64 terms is an integer multiple of 2**-_SCALE_BITS
+_SCALE_BITS = _EXP_OFFSET + 53
+
+
+def _scaled_sum(x: np.ndarray) -> int | None:
+    """The exact sum of float64 terms times 2**1127, a Python int.
 
     A term is q * 2**(exp - 53) with an integer mantissa |q| < 2**53 from
     frexp.  The high and low 26 bits of q are summed per exponent by
@@ -135,14 +148,12 @@ def _exact_sum(x: np.ndarray) -> float:
     |limb| < 2**54 * 255 < 2**62.  The limbs of one residue mod 8 lie 64
     bits apart; biased by 2**63 into [0, 2**64) they are the digits of one
     int.from_bytes, which takes the bias back off.  The eight results are
-    shifted together into one Python int, and int true division rounds it
-    once.  Non-finite or huge terms, 2**26 terms or more, and an exact-zero
-    total (whose sign fsum decides) go to fsum.  The terms of an array of
-    any shape are taken in C order.
+    shifted together into one Python int.  None for non-finite or huge
+    terms and for 2**26 terms or more, whose sum fsum decides.
     """
     x = x.ravel()
     if x.size >= _MAX_TERMS or not np.abs(x).max(initial=0.0) < _BIG:  # also NaN
-        return math.fsum(x.tolist())
+        return None
     q, exp = np.frexp(x)
     q *= 2.0**53
     hi = q * 2.0**-_SPLIT
@@ -163,17 +174,119 @@ def _exact_sum(x: np.ndarray) -> float:
     total = 0
     for r in range(_LIMB):
         total += (int.from_bytes(digits[r::_LIMB].tobytes(), "little") - bias) << (_LIMB * r)
-    if total == 0:
-        return math.fsum(x.tolist())
-    return total / (1 << (_EXP_OFFSET + 53))
+    return total
 
 
-def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
-    # every local factor on one (class, k, m1, m2) grid; raises FactorZero at
-    # the first zero in that order.  Called from the public entry points.
-    # exp/expm1 run on (class, m1+m2) and sin on (class, k, m1-m2); each
-    # grid element is the same float expression, in the same order, as when
-    # evaluated on the full grid
+def _exact_sum(x: np.ndarray) -> float:
+    """The correctly rounded sum of float64 terms, equal to math.fsum.
+
+    The exact sum of ``_scaled_sum``, rounded once by int true division.
+    Non-finite or huge terms, 2**26 terms or more, and an exact-zero total
+    (whose sign fsum decides) go to fsum.  The terms of an array of any
+    shape are taken in C order.
+    """
+    total = _scaled_sum(x)
+    if not total:
+        return math.fsum(x.ravel().tolist())
+    return total / (1 << _SCALE_BITS)
+
+
+def _certified_sum(kept: np.ndarray, slack: float) -> float | None:
+    """The correctly rounded sum of the kept terms and of others of total size at most slack.
+
+    With S the exact sum of the kept terms, the full sum lies in
+    [S - slack, S + slack], and rounding is monotone: when both ends round
+    to the same float, the full sum rounds to it, as fsum of every term
+    does.  That float is not zero, whose sign fsum would decide: S is a
+    nonzero multiple of 2**-1074, so the ends cannot both round to zero.
+    None when the ends differ, and where ``_scaled_sum`` leaves the sum to
+    fsum or finds an exact zero.
+    """
+    total = _scaled_sum(kept)
+    if not total:
+        return None
+    num, den = slack.as_integer_ratio()
+    width = -(-(num << _SCALE_BITS) // den)  # slack * 2**1127, rounded up
+    low, high = (total - width) / (1 << _SCALE_BITS), (total + width) / (1 << _SCALE_BITS)
+    return low if low == high else None
+
+
+def _factor(em, damp, sin2, sn):
+    # 1 - exp(-X) from the parts of X: the one float expression of every local factor
+    return (em + (damp * 2.0) * sin2) + 1j * (damp * sn)
+
+
+class _Grid(NamedTuple):
+    """The separable parts of the local factors of one Euler product.
+
+    Re(X) depends on (class, m1+m2) and Im(X) on (class, k, m1-m2) alone,
+    so exp and expm1 run on the first of these small arrays and sin on the
+    second.  ``every`` reads them through Hankel and Toeplitz views and
+    ``factors`` gathers a set of lattice points from them; both evaluate
+    ``_factor``, so a factor has the same value in every set.
+    """
+
+    spec: Spectrum
+    s: complex
+    tau_m: int
+    max_m: int
+    damp: np.ndarray  # exp(-Re X) on (class, m1+m2)
+    em: np.ndarray  # -expm1(-Re X) on (class, m1+m2)
+    sin2: np.ndarray  # sin(Im X/2)**2 on (k, class, max_m + m1 - m2)
+    sn: np.ndarray  # sin(Im X) on (k, class, max_m + m1 - m2)
+
+    def every(self) -> np.ndarray:
+        """Every factor, on the (class, k, m1, m2) grid.
+
+        Raises FactorZero at the first zero in that order.
+        """
+        side = self.max_m + 1
+
+        def hankel(v):  # [c, k, m1, m2] -> v[c, k, m1 + m2]
+            return sliding_window_view(v[:, None], side, axis=-1)
+
+        def toeplitz(v):  # [c, k, m1, m2] -> v[k, c, max_m + m1 - m2]
+            return sliding_window_view(v.transpose(1, 0, 2), side, axis=-1)[..., ::-1]
+
+        grid = _factor(hankel(self.em), hankel(self.damp), toeplitz(self.sin2), toeplitz(self.sn))
+        if not grid.all():
+            self._vanishes(*np.argwhere(grid == 0)[0].tolist())
+        return grid
+
+    def factors(self, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The factors with m1 + m2 < lead[c] of each class c, and the class of each point.
+
+        A (k, lattice point) array, its points in (class, m1, m2) order.
+        Raises FactorZero at the first zero among them in (class, k, m1, m2)
+        order.
+        """
+        side = np.arange(self.max_m + 1)
+        c, m1, m2 = np.nonzero(np.add.outer(side, side) < lead[:, None, None])
+        row = c * (2 * self.max_m + 1)
+        n, d = row + m1 + m2, row + self.max_m + m1 - m2  # flat (class, n) and (class, d)
+        ks = 2 * self.tau_m + 1
+        f = _factor(
+            self.em.ravel().take(n),
+            self.damp.ravel().take(n),
+            self.sin2.reshape(ks, -1).take(d, axis=1),
+            self.sn.reshape(ks, -1).take(d, axis=1),
+        )
+        if not f.all():
+            j, q = np.nonzero(f == 0)
+            self._vanishes(*min(zip(c[q].tolist(), j.tolist(), m1[q].tolist(), m2[q].tolist())))
+        return f, c
+
+    def _vanishes(self, c: int, j: int, m1: int, m2: int):
+        raise FactorZero(
+            f"local factor vanishes at s={self.s!r} for k={j - self.tau_m}, (m1, m2)=({m1}, {m2}), "
+            f"class (a={self.spec._lengths.item(c)!r}, b={self.spec._holonomies.item(c)!r})"
+        )
+
+
+def _grid(spec: Spectrum, tau, s: complex, tr) -> _Grid:
+    # called from the public entry points: checks the indices, refuses a grid
+    # of 2**26 factors or more before any array is made, and warns outside
+    # the half-plane
     s = complex(s)
     tau_m, max_m = _whole(tau, "twist index", 0), _whole(tr, "truncation order", 0)
     size = spec._lengths.size * (2 * tau_m + 1) * (max_m + 1) ** 2
@@ -184,32 +297,109 @@ def _factor_grid(spec: Spectrum, tau, s: complex, tr) -> np.ndarray:
         )
     _warn_halfplane(s, stacklevel=4)
     a = spec._lengths[:, None]
-    b = spec._holonomies[:, None, None]
+    b = spec._holonomies[:, None]
     n = np.arange(2 * max_m + 1, dtype=float)  # m1 + m2
     d = np.arange(-max_m, max_m + 1, dtype=float)  # m1 - m2
-    k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None]
+    k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None, None]
     x_re = n * a + s.real * a
-    x_im = k * b + d * b + s.imag * a[:, None]
-    damp = np.exp(-x_re)[:, None]
-    em = -np.expm1(-x_re)[:, None]
-    damp2 = damp * 2.0
-    sin2 = np.sin(x_im / 2.0) ** 2
-    sn = np.sin(x_im)
+    x_im = k * b + d * b + s.imag * a
+    damp, em = np.exp(-x_re), -np.expm1(-x_re)
+    return _Grid(spec, s, tau_m, max_m, damp, em, np.sin(x_im / 2.0) ** 2, np.sin(x_im))
 
-    def hankel(v):  # [c, k, m1, m2] -> v[c, k, m1 + m2]
-        return sliding_window_view(v, max_m + 1, axis=-1)
 
-    def toeplitz(v):  # [c, k, m1, m2] -> v[c, k, max_m + m1 - m2]
-        return sliding_window_view(v, max_m + 1, axis=-1)[..., ::-1]
+#: a (class, m1+m2) row of factors is left out of a sum when its bound is
+#: below this share of the largest row bound
+_CUT = 2.0**-76
+#: and when its exp(-Re X) is at most this, so that its factors round to 1 + i*y
+_SKIP_DAMP = 2.0**-54
 
-    grid = (hankel(em) + hankel(damp2) * toeplitz(sin2)) + 1j * (hankel(damp) * toeplitz(sn))
-    if not grid.all():
-        c, j, m1, m2 = np.argwhere(grid == 0)[0].tolist()
-        raise FactorZero(
-            f"local factor vanishes at s={s!r} for k={j - tau_m}, (m1, m2)=({m1}, {m2}), "
-            f"class (a={spec._lengths.item(c)!r}, b={spec._holonomies.item(c)!r})"
-        )
-    return grid
+
+def _row_bounds(grid: _Grid, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # the bounds of the real and imaginary parts of a term of each (class,
+    # m1+m2) row that may be left out: w * damp**2 and w * damp (see _euler_sum)
+    bound = weights.astype(np.float64)[:, None] * grid.damp
+    return bound * grid.damp, bound
+
+
+def _kept_rows(grid: _Grid, bound: np.ndarray) -> np.ndarray:
+    """How many rows of smallest m1 + m2 the sums keep for each class, by the row bounds w * damp.
+
+    See _euler_sum.
+    """
+    rows = np.arange(bound.shape[1])
+    top = bound.max(initial=0.0)
+    if not np.isfinite(top):
+        return np.full(bound.shape[0], rows.size)
+    finite = np.isfinite(grid.sn).all(axis=(0, 2))[:, None]  # sin2 is finite with sn
+    skip = (bound < _CUT * top) & (grid.damp <= _SKIP_DAMP) & (grid.em == 1.0) & finite
+    return np.where(skip, 0, rows + 1).max(axis=1, initial=0)
+
+
+def _euler_sum(grid: _Grid, weights: np.ndarray, terms) -> complex:
+    """The sum of the terms of every factor of the grid, from the factors that can move it.
+
+    ``terms(f, w)`` gives the real and imaginary term arrays of factors f
+    with class weights w (``weights``, one per class, broadcast against f).
+    The result is what ``_exact_sum`` gives on every term in C order, fsum
+    of every term, bit for bit.
+
+    Row (c, n) of the grid is the (2m+1) * (min(n, 2M - n) + 1) factors of
+    class c with m1 + m2 = n; its bound is w[c] * damp[c, n], with damp =
+    exp(-Re X).  A factor is (em + (2*damp) * sin(Im X/2)**2) +
+    i*(damp * sin(Im X)), rounded, with em = -expm1(-Re X).  Where em ==
+    1.0, damp <= 2**-54 and the sines are finite, its real part is 1.0 + p
+    rounded with 0 <= p <= 2**-53, which is 1.0 (p = 2**-53 is a tie that
+    rounds to even), and its imaginary part y has |y| <= damp.  Then
+    log f = log(1 + y**2)/2 + i*atan(y), and 1/f - 1 = -i*y (Smith's rule,
+    which numpy's complex division follows, as y**2 vanishes beside 1).
+    So a term, w times such a value, is at most w * damp**2 in its real
+    part and w * damp, the row bound, in its imaginary part.  A left-out
+    term is taken at 8 times these, which leaves room for the rounding of
+    the log, the division and the products.
+
+    Left out are a class's rows after its last row that reaches ``_CUT``
+    times the largest row bound or fails a condition above: as damp falls
+    with m1 + m2, that is the class's tail of rows that the cut alone would
+    leave out.  The slack of a part is 8 times the sum over the left-out rows of
+    (factors of the row) * (their bound in that part), raised by 2**-20 of
+    itself for its own float64 rounding and by 2**-1000 per factor and unit
+    of weight for terms that underflow.  ``_certified_sum`` decides each
+    part from the kept factors and that slack.  Where it cannot, and where
+    nothing is left out (every row is kept, or the largest bound is not
+    finite), every term is summed.
+    """
+    bounds = _row_bounds(grid, weights)
+    lead = _kept_rows(grid, bounds[1])
+    rows = np.arange(grid.damp.shape[1])  # m1 + m2
+    sums = [None, None]
+    if (lead < rows.size).any():
+        per_row = (2 * grid.tau_m + 1) * (grid.max_m + 1 - np.abs(rows - grid.max_m))
+        left = rows >= lead[:, None]
+        spare = float(np.sum((weights[:, None] + 1.0) * per_row, where=left)) * 2.0**-1000
+        slacks = [
+            8.0 * float(np.sum(part * per_row, where=left)) * (1.0 + 2.0**-20) + spare
+            for part in bounds
+        ]
+        factors, classes = grid.factors(lead)
+        parts = terms(factors, weights[classes])
+        sums = [_certified_sum(*pair) for pair in zip(parts, slacks)]
+    if None in sums:
+        every = terms(grid.every(), weights[:, None, None, None])
+        sums = [_exact_sum(t) if v is None else v for v, t in zip(sums, every)]
+    return complex(*sums)
+
+
+def _log_terms(f: np.ndarray, mult) -> tuple[np.ndarray, np.ndarray]:
+    logs = np.log(f)
+    return mult * logs.real, mult * logs.imag
+
+
+def _psi_terms(f: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
+    # in place, so that one array is held, with the operands of weight * (1.0 / f - 1.0)
+    np.divide(1.0, f, out=f)
+    f -= 1.0
+    np.multiply(weight, f, out=f)
+    return f.real, f.imag
 
 
 def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
@@ -221,9 +411,7 @@ def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     log-factors.  Raises FactorZero if s is a zero of some local factor and
     DomainError when the value is past the float range.
     """
-    logs = np.log(_factor_grid(spec, tau, s, tr))
-    mult = spec._counts[:, None, None, None]
-    log = complex(_exact_sum(mult * logs.real), _exact_sum(mult * logs.imag))
+    log = _euler_sum(_grid(spec, tau, s, tr), spec._counts, _log_terms)
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(np.exp(log))
     if not cmath.isfinite(value):
@@ -239,12 +427,8 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     FactorZero if s is a zero of some local factor and DomainError when the
     sum is not finite (where exp(-X) itself is past the float range).
     """
-    # in place, so that one grid is held, with the operands of (mult * a) * (1.0 / f - 1.0)
-    terms = _factor_grid(spec, tau, s, tr)
-    np.divide(1.0, terms, out=terms)
-    terms -= 1.0
-    np.multiply((spec._counts * spec._lengths)[:, None, None, None], terms, out=terms)
-    value = complex(_exact_sum(terms.real), _exact_sum(terms.imag))
+    weights = spec._counts * spec._lengths
+    value = _euler_sum(_grid(spec, tau, s, tr), weights, _psi_terms)
     if not cmath.isfinite(value):
         raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
     return value

@@ -943,8 +943,10 @@ def test_window_of_2_63_points_is_domain_error(command, tmp_path, capsys):
             ["recover", "tiny.csv"],
         ),
         ({}, ["zeros", str(DATA / "small.csv"), "--imbound", "1e9", "--maxm", "0"]),
+        # 5,000,050,001 progressions of one or two points per class
+        ({}, ["zeros", str(DATA / "small.csv"), "--imbound", "1", "--maxm", "100000"]),
     ],
-    ids=["recover_zeros", "recover_default_window", "zeros"],
+    ids=["recover_zeros", "recover_default_window", "zeros", "zeros_progressions"],
 )
 def test_window_past_the_point_cap_is_domain_error(files, argv, tmp_path, capsys, monkeypatch):
     # refused before any progression is built: numpy allocations are traced too

@@ -207,6 +207,20 @@ def test_recover_ratios_empty():
     assert got.total() == 0
 
 
+def test_recover_ratios_takes_plain_length_pairs():
+    # the pairs are (length, multiplicity), not values, and are checked as
+    # RealMultiset checks them
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 1.0, 2)])
+    w = ZeroWindow(0, 10.0)
+    resid = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
+    want = recover_ratios(resid, spec.lengths(), w)
+    assert recover_ratios(resid, [(1.0, 1), (2.0, 2)], w) == want
+    with pytest.raises(ValueError, match="multiplicity"):
+        recover_ratios(resid, [(1.0, 1.5), (2.0, 2)], w)
+    with pytest.raises(DomainError, match="multiplicity"):
+        recover_ratios(resid, [(1.0, 2**63), (2.0, 2)], w)
+
+
 def test_recover_ratios_holonomy_above_pi_normalizes():
     spec = Spectrum([(2.0, 5.0, 1)])  # b > pi: canonical ratio is (2pi - b)/a
     got = roundtrip_ratios(spec)

@@ -245,6 +245,28 @@ def test_strip_k0_b_zero_removes_everything():
     assert strip_k0(zl, spec.lengths(), w).total() == 0
 
 
+@pytest.mark.parametrize(
+    "pairs, error",
+    [
+        ([(1.0, 1.5), (2.0, 1)], ValueError),  # a fractional count
+        ([(1.0, -1), (2.0, 1)], ValueError),
+        ([(1.0, 2**63), (2.0, 1)], DomainError),  # past the int64 counts
+    ],
+)
+def test_strip_k0_checks_plain_length_pairs(pairs, error):
+    # (length, multiplicity) pairs are checked as RealMultiset checks them
+    zl = zero_line(Spectrum([(1.0, 0.5, 1)]), 1, ZeroWindow(0, 10.0))
+    with pytest.raises(error, match="multiplicit"):
+        strip_k0(zl, pairs, ZeroWindow(0, 10.0))
+
+
+def test_strip_k0_takes_plain_length_pairs():
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 1.0, 2)])
+    w = ZeroWindow(0, 10.0)
+    zl = zero_line(spec, 1, w)
+    assert strip_k0(zl, [(1.0, 1), (2.0, 2)], w) == strip_k0(zl, spec.lengths(), w)
+
+
 def test_strip_k0_empty_lengths_is_noop():
     zl = RealMultiset.from_values([0.5, -0.5])
     out = strip_k0(zl, RealMultiset(), ZeroWindow(0, 2.0))
@@ -287,6 +309,26 @@ def test_point_cap_counts_every_row_with_its_padding(monkeypatch):
         subtract_trace(RealMultiset(), 1.0, 0.0, (0, 0), 0, w)
     monkeypatch.setattr(zeros, "_POINT_CAP", 11)
     assert subtract_trace(RealMultiset(), 1.0, 0.0, (0, 0), 0, w) == RealMultiset()
+
+
+def test_zero_multiset_counts_its_points_before_the_loop(monkeypatch):
+    # (2m+1)(M+1)(M+2)/2 = 3 progressions of at most 10/pi + 1 = 4.18 points
+    # each: 12.5 points counted, 9 built.  The count comes before any line
+    spec = Spectrum([(1.0, 0.5, 1)])
+    w = ZeroWindow(1, 10.0)
+    assert zero_multiset(spec, 0, w).total() == 9
+    monkeypatch.setattr(zeros, "_POINT_CAP", 13)
+    assert zero_multiset(spec, 0, w).total() == 9
+    monkeypatch.setattr(zeros, "_POINT_CAP", 12)
+    monkeypatch.setattr(zeros, "_progressions", None)
+    with pytest.raises(DomainError, match="point cap"):
+        zero_multiset(spec, 0, w)
+    with pytest.raises(DomainError, match="point cap"):  # no float of 10**400 progressions
+        zero_multiset(spec, 0, ZeroWindow(10**200, 10.0))
+    assert zero_multiset(Spectrum(), 0, ZeroWindow(10**200, 10.0)).total() == 0
+    # a window past the float range is named as such, before any class's loop
+    with pytest.raises(DomainError, match="no finite n-range for class \\(1e\\+308"):
+        zero_multiset(Spectrum([(1.0, 0.5, 1), (1e308, 0.5, 1)]), 0, ZeroWindow(10**6, 10.0))
 
 
 def test_strip_k0_mismatched_lengths_underflows():

@@ -26,7 +26,8 @@ from lhspec import (
     zeta_tau,
 )
 
-from lhspec.zeta import _exact_sum, _factor_grid
+from lhspec import zeta as zeta_module
+from lhspec.zeta import _exact_sum, _grid, _kept_rows, _row_bounds
 
 from helpers import TWO_PI, factor_grids_reference, grid_sum_reference, rand_spectrum
 
@@ -396,22 +397,127 @@ points = st.sampled_from([0j, -1 + 0j, 2.5 + 0j, 2.05 + 0.5j]) | st.builds(
 
 # FactorZero names the first zero in (class, k, m1, m2) order: a zero of the
 # second class only, the k = -1 zero before the k = 1 one, and a first
-# class vanishing at k = 0 only while the second vanishes at every k
-@given(class_rows, st.integers(0, 2), points, st.integers(0, 8) | st.just(30))
-@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 0, -1 + 0j, 2)
-@example([(1.0, 0.5, 1)], 1, -1 + 0j, 2)
-@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 1, -2 + 0j, 2)
-@example([(1.0, 0.0, 1)], 0, 2.225073858507203e-309j, 30)  # a NaN psi sum
+# class vanishing at k = 0 only while the second vanishes at every k.  The
+# sums leave rows out at the library's cut, and at a cut of 1 nearly every
+# row, which makes them fall back to every term; the result is the same.
+@given(
+    class_rows,
+    st.integers(0, 2),
+    points,
+    st.integers(0, 8) | st.just(30),
+    st.sampled_from([zeta_module._CUT, 1.0]),
+)
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 0, -1 + 0j, 2, zeta_module._CUT)
+@example([(1.0, 0.5, 1)], 1, -1 + 0j, 2, zeta_module._CUT)
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 1, -2 + 0j, 2, zeta_module._CUT)
+@example([(1.0, 0.0, 1)], 0, 2.225073858507203e-309j, 30, zeta_module._CUT)  # a NaN psi sum
+# rows left out: lengths up to 5 at Re(s) = 4, and at Re(s) = 50, where
+# every row of the longer class is (a row of largest bound is always kept)
+@example([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30, zeta_module._CUT)
+@example([(0.3, 1.0, 2), (5.0, 2.0, 1)], 2, 50 + 1j, 30, zeta_module._CUT)
+# rows left out while kept factors vanish: the first zero in C order is the
+# first class's at k = 0, although the second class vanishes at k = -1
+@example([(5.0, 0.5, 1), (6.0, 0.0, 1)], 1, -2 + 0j, 30, zeta_module._CUT)
+# a cut of 1 leaves out every row below the largest bound: the slack
+# straddles a rounding boundary and every term is summed
+@example([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30, 1.0)
+@example([(1.0, 0.0, 1)], 0, 3 + 0j, 30, 1.0)
 @settings(max_examples=150, deadline=None)
-def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m):
+def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m, cut):
     spec = Spectrum(rows)
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), mock.patch.object(zeta_module, "_CUT", cut):
         warnings.simplefilter("ignore", ConvergenceWarning)
         got_log = _outcome(zeta_tau, spec, tau_m, s, max_m)
         got_psi = _outcome(log_derivative, spec, tau_m, s, max_m)
     want_log = _outcome(lambda: complex(np.exp(grid_sum_reference(spec, tau_m, s, max_m, True))))
     want_psi = _outcome(psi_reference, spec, tau_m, s, max_m)
     assert (got_log, got_psi) == (want_log, want_psi)
+
+
+@pytest.mark.parametrize(
+    "rows, s",
+    [([(0.5, 0.7, 1), (5.0, 2.0, 3)], 4 + 0.5j), ([(1.0, 0.5, 1)], 3 + 0.25j)],
+)
+def test_a_cut_of_one_falls_back_to_every_term(rows, s):
+    # the certified sums are tried and fail, then every term is summed: the
+    # values are those at the library's cut, which certifies them
+    spec = Spectrum(rows)
+    exact = mock.Mock(wraps=zeta_module._exact_sum)
+    with mock.patch.object(zeta_module, "_exact_sum", exact):
+        want = [zeta_tau(spec, 1, s, 30), log_derivative(spec, 1, s, 30)]
+        assert exact.call_count == 0
+        with mock.patch.object(zeta_module, "_CUT", 1.0):
+            got = [zeta_tau(spec, 1, s, 30), log_derivative(spec, 1, s, 30)]
+        assert exact.call_count >= 2
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+def test_rows_of_a_class_with_an_infinite_phase_are_kept():
+    # Im(s) * 5 overflows, so every sine of the second class is NaN; those
+    # rows are far below the cut, but leaving them out would hide the NaN
+    spec = Spectrum([(0.3, 0.5, 1), (5.0, 0.5, 1)])
+    s = complex(50.0, 1e308)
+    with pytest.raises(DomainError, match=r"log zeta = \(nan\+nanj\)"):
+        zeta_tau(spec, 1, s, 30)
+    with pytest.raises(DomainError, match=r"not finite: \(nan\+nanj\)"):
+        log_derivative(spec, 1, s, 30)
+
+
+# a left-out row holds factors 1 + i*y, |y| <= damp, so each of its terms is
+# within 8 times its row bound, w * damp**2 (real part) and w * damp
+# (imaginary part); the gathered factors are those of the full grid
+@given(
+    class_rows,
+    st.integers(0, 2),
+    st.builds(complex, st.floats(-1.0, 60.0), st.floats(-6.0, 6.0)),
+    st.integers(0, 40),
+)
+@example([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30)
+@example([(0.3, 1.0, 2), (5.0, 2.0, 1)], 2, 50 + 1j, 30)
+@settings(max_examples=150, deadline=None)
+def test_left_out_terms_lie_within_their_bounds(rows, tau_m, s, max_m):
+    spec = Spectrum(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        try:
+            grid = _grid(spec, tau_m, s, max_m)
+            every = grid.every()
+        except FactorZero:
+            return
+    n = np.add.outer(np.arange(max_m + 1), np.arange(max_m + 1))  # m1 + m2
+    for weights, terms in (
+        (spec._counts, zeta_module._log_terms),
+        (spec._counts * spec._lengths, zeta_module._psi_terms),
+    ):
+        re_bound, im_bound = _row_bounds(grid, weights)
+        lead = _kept_rows(grid, im_bound)
+        factors, classes = grid.factors(lead)
+        kept = n < lead[:, None, None]  # (class, m1, m2)
+        want = np.ascontiguousarray(every.transpose(1, 0, 2, 3)[:, kept])
+        assert np.array_equal(factors.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(classes, np.nonzero(kept)[0])
+        re, im = terms(every.copy(), weights[:, None, None, None])
+        left = ~kept[:, None]  # (class, k, m1, m2)
+        assert np.all((np.abs(re) <= 8 * re_bound[:, n][:, None]) | ~left)
+        assert np.all((np.abs(im) <= 8 * im_bound[:, n][:, None]) | ~left)
+
+
+def test_kept_rows_hold_every_row_that_fails_a_premise():
+    # rows 0-5 of each class: the bound falls below the cut from row 2 on;
+    # a row with em != 1.0 or damp > 2**-54 is kept, and so are the rows
+    # before it, and a NaN sine keeps every row of its class
+    damp = np.array([[2.0**30, 2.0**-40, 2.0**-90, 2.0**-90, 2.0**-90, 2.0**-90]] * 2)
+    em = np.ones_like(damp)
+    sines = np.zeros((1, 2, 6))
+    sines[0, 1, 0] = math.nan
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 0.5, 1)])
+    grid = zeta_module._Grid(spec, 3j, 0, 3, damp, em, sines, sines)
+    assert _kept_rows(grid, damp).tolist() == [2, 6]
+    em[:, 3] = 1.0 - 2.0**-53
+    assert _kept_rows(grid, damp).tolist() == [4, 6]
+    em[:, 3] = 1.0
+    damp[:, 4] = 2.0**-53
+    assert _kept_rows(grid, damp).tolist() == [5, 6]
 
 
 def psi_reference(spec, tau_m, s, max_m):
@@ -442,10 +548,10 @@ def test_factor_grid_matches_reference_bit_for_bit(rows, tau_m, s, max_m):
             grids = factor_grids_reference(spec, tau_m, s, max_m)
         except FactorZero as exc:
             with pytest.raises(FactorZero) as caught:
-                _factor_grid(spec, tau_m, s, max_m)
+                _grid(spec, tau_m, s, max_m).every()
             assert str(caught.value) == str(exc)
             return
-        grid = _factor_grid(spec, tau_m, s, max_m)
+        grid = _grid(spec, tau_m, s, max_m).every()
     assert grid.shape == (len(spec), 2 * tau_m + 1, max_m + 1, max_m + 1)
     for (_, _, ref), part in zip(grids, grid.reshape(-1, max_m + 1, max_m + 1), strict=True):
         for got_part, ref_part in ((part.real, ref.real), (part.imag, ref.imag)):
