@@ -11,7 +11,10 @@ addition.
 All real numbers are printed with 17 significant digits so that parsing the
 output reproduces the exact doubles.  Complex numbers are ``RE+IMi`` literals
 on the command line and {"re": ..., "im": ...} objects in JSON.  Non-finite
-reals serialize as null.
+reals serialize as null.  A multiset or spectrum is written one value column
+at a time: each distinct magnitude in a column is formatted once, an entry
+whose sign bit is set takes a "-" before its magnitude's string (never before
+null), and the records are written one block at a time.
 
 Exit codes: 0 success, 1 domain/computation errors, 2 parse/usage errors.
 Errors print a single JSON object {"error": {"code", "message"}} on stdout;
@@ -60,15 +63,58 @@ _RECORD_KEYS = {
 }
 
 
+#: records written by one ``%``; it bounds the tuple of strings that one block holds
+_BLOCK = 4096
+
+
+def _column(col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strings of a float64 column as a table and an index into it.
+
+    Each distinct magnitude is formatted once by _fmt_float; an entry whose
+    sign bit is set indexes the same string with "-" before it, unless that
+    string is null.  For finite x, ``%.17g`` of -x is "-" and then the string
+    of x, -0.0 included.
+    """
+    mag, inv = np.unique(np.abs(col), return_inverse=True)
+    strs = list(map(_fmt_float, mag.tolist()))
+    table = np.array(strs + [s if s == "null" else "-" + s for s in strs], dtype=object)
+    return table, inv + mag.size * np.signbit(col)
+
+
+def _records(ms: _Multiset, record: str, sep: str) -> str:
+    """One ``record % (column strings..., multiplicity)`` per entry, joined by sep.
+
+    Only the distinct strings and the index arrays of _column span the whole
+    multiset; the fields of one block of _BLOCK records are gathered into one
+    tuple and written by one ``%``.
+    """
+    cols = [_column(getattr(ms, name)) for name in type(ms).__slots__]
+    width = len(cols) + 1
+    blocks = []
+    for lo in range(0, ms._counts.size, _BLOCK):
+        counts = ms._counts[lo : lo + _BLOCK]
+        fields = [None] * (counts.size * width)
+        for j, (table, index) in enumerate(cols):
+            fields[j::width] = table[index[lo : lo + _BLOCK]].tolist()
+        fields[width - 1 :: width] = counts.tolist()
+        blocks.append(sep.join([record] * counts.size) % tuple(fields))
+    return sep.join(blocks)
+
+
 def _dumps_multiset(ms: _Multiset, indent: int) -> str:
-    # an array of records, one per entry: its value columns, then "multiplicity"
+    """An array of records, one per entry: its value columns, then "multiplicity".
+
+    The strings come from _records, so each distinct magnitude of a column
+    is formatted once, signs are prefixed, non-finite values print as null,
+    and the records are written one block at a time.
+    """
+    if not ms:
+        return "[]"
     pad = " " * (indent + 2)
-    # a str.format template with one {} per field; the record's own braces are doubled
-    fields = ",\n".join(f'{pad}  "{k}": {{}}' for k in (*_RECORD_KEYS[type(ms)], "multiplicity"))
-    record = f"{pad}{{{{\n{fields}\n{pad}}}}}"
-    cols = [map(_fmt_float, getattr(ms, name).tolist()) for name in type(ms).__slots__]
-    rows = ",\n".join(map(record.format, *cols, ms._counts.tolist()))
-    return f"[\n{rows}\n{' ' * indent}]" if ms else "[]"
+    # a %-template with one %s per field; the keys and the padding hold no %
+    fields = ",\n".join(f'{pad}  "{k}": %s' for k in (*_RECORD_KEYS[type(ms)], "multiplicity"))
+    body = _records(ms, f"{pad}{{\n{fields}\n{pad}}}", ",\n")
+    return f"[\n{body}\n{' ' * indent}]"
 
 
 def dumps(obj, indent: int = 0) -> str:
@@ -92,14 +138,14 @@ def dumps(obj, indent: int = 0) -> str:
         inner = ",\n".join(
             f"{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}" for k, v in obj.items()
         )
-        return "{\n" + inner + "\n" + pad + "}"
+        return f"{{\n{inner}\n{pad}}}"  # one copy of inner, where a chain of + makes two
     if isinstance(obj, _Multiset):
         return _dumps_multiset(obj, indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
+        return f"[\n{inner}\n{pad}]"
     if isinstance(obj, np.ndarray):
         return dumps(obj.tolist(), indent)
     if isinstance(obj, (np.floating,)):
@@ -207,11 +253,7 @@ def _parse_json(text: str) -> Spectrum:
 def serialize_spectrum(spec: Spectrum, format: str = "csv") -> str:
     fmt = format.lower()
     if fmt == "csv":
-        rows = [CSV_HEADER]
-        rows.extend(
-            f"{_fmt_float(c.length)},{_fmt_float(c.holonomy)},{c.multiplicity}" for c in spec
-        )
-        return "\n".join(rows) + "\n"
+        return f"{CSV_HEADER}\n" + _records(spec, "%s,%s,%s\n", "")
     if fmt == "json":
         return dumps(spec) + "\n"
     raise ParseError(f"unknown spectrum format {format!r} (expected csv or json)")

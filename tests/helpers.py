@@ -584,3 +584,14 @@ def zero_data_reference(data) -> dict:
             mults.append(_whole(mult, f"{where}: multiplicity", 0, ParseError))
         out[key] = RealMultiset._from_arrays(np.array(values), _count_array(mults), tol=TAU_ZERO)
     return out
+
+
+def spectrum_csv_reference(spec) -> str:
+    """CSV text of a spectrum, one f-string per class: the reference for serialize_spectrum."""
+
+    def fmt(v):
+        return f"{v:.17g}" if math.isfinite(v) else "null"
+
+    rows = ["length,holonomy,multiplicity"]
+    rows.extend(f"{fmt(c.length)},{fmt(c.holonomy)},{c.multiplicity}" for c in spec)
+    return "\n".join(rows) + "\n"

@@ -30,6 +30,7 @@ from lhspec import (
     algebra_residual,
     zero_line,
 )
+from lhspec import cli_io
 from lhspec.cli_io import (
     _load_zero_data,
     build_parser,
@@ -42,7 +43,7 @@ from lhspec.cli_io import (
     serialize_spectrum,
 )
 
-from helpers import LOOSE, zero_data_reference
+from helpers import LOOSE, spectrum_csv_reference, zero_data_reference
 
 HERE = Path(__file__).parent
 DATA = HERE / "data"
@@ -523,11 +524,11 @@ def test_dumps_scalars():
 
 def test_dumps_containers_and_arrays():
     out = dumps({"m": np.eye(2), "z": 1 + 2j, "xs": (1, 2)})
-    parsed = json.loads(out)
-    assert parsed == {"m": [[1, 2], [2, 2]]} or True  # shape checked below
-    assert parsed["m"] == [[1.0, 0.0], [0.0, 1.0]]
-    assert parsed["z"] == {"re": 1.0, "im": 2.0}
-    assert parsed["xs"] == [1, 2]
+    assert out == (
+        '{\n  "m": [\n    [\n      1,\n      0\n    ],\n    [\n      0,\n      1\n    ]\n  ],\n'
+        '  "z": {\n    "re": 1,\n    "im": 2\n  },\n'
+        '  "xs": [\n    1,\n    2\n  ]\n}'
+    )
     assert dumps({}) == "{}" and dumps([]) == "[]"
 
 
@@ -554,22 +555,50 @@ RECORDS = {
     Spectrum: lambda ms: [c._asdict() for c in ms],
 }
 edge_floats = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324])
+# a few magnitudes, each with both signs, and NaN with its sign bit set: the
+# emitter formats each distinct magnitude once and prefixes the sign
+pooled_floats = st.sampled_from([0.1, 2.5, 1e-300, 5e-324, math.inf, math.nan]).flatmap(
+    lambda x: st.sampled_from([x, math.copysign(x, -1.0)])
+)
 
 
 @given(
     kind=st.sampled_from(list(RECORDS)),
     indent=st.sampled_from([0, 2, 4]),
+    block=st.sampled_from([1, 2, 3, cli_io._BLOCK]),
     rows=st.lists(
-        st.tuples(edge_floats | st.floats(width=64), edge_floats, st.integers(1, 2**63 - 1)),
-        max_size=6,
+        st.tuples(
+            edge_floats | pooled_floats | st.floats(width=64),
+            edge_floats | pooled_floats,
+            st.integers(1, 2**63 - 1),
+        ),
+        max_size=12,
     ),
 )
-def test_dumps_multiset_matches_its_records(kind, indent, rows):
-    # any column values, canonical or not: dumps writes what the arrays hold
+def test_dumps_multiset_matches_its_records(kind, indent, block, rows):
+    # any column values, canonical or not: dumps writes what the arrays hold;
+    # blocks of 1-3 records put block edges inside small multisets
     cols = [np.array([r[i] for r in rows], dtype=np.float64) for i in range(len(kind.__slots__))]
     ms = kind._trusted(*cols, np.array([r[2] for r in rows], dtype=np.int64))
-    assert dumps(ms, indent) == dumps(RECORDS[kind](ms), indent)
-    assert dumps({"xs": [ms]}, indent) == dumps({"xs": [RECORDS[kind](ms)]}, indent)
+    with mock.patch.object(cli_io, "_BLOCK", block):
+        assert dumps(ms, indent) == dumps(RECORDS[kind](ms), indent)
+        assert dumps({"xs": [ms]}, indent) == dumps({"xs": [RECORDS[kind](ms)]}, indent)
+        if kind is Spectrum:
+            assert serialize_spectrum(ms, "csv") == spectrum_csv_reference(ms)
+
+
+@pytest.mark.parametrize("kind", list(RECORDS), ids=lambda k: k.__name__)
+def test_dumps_multiset_across_whole_blocks(kind):
+    # 2 blocks and 1 record at the real block size, magnitudes repeating with both signs
+    n = 2 * cli_io._BLOCK + 1
+    rng = np.random.default_rng(18)
+    pool = np.array([0.0, 0.5, 1e-300, math.inf, math.nan, *rng.uniform(0.0, 50.0, 40)])
+    signs = [rng.choice([-1.0, 1.0], n) for _ in kind.__slots__]
+    cols = [pool[rng.integers(0, pool.size, n)] * sign for sign in signs]
+    ms = kind._trusted(*cols, rng.integers(1, 2**62, n, dtype=np.int64))
+    assert dumps(ms, 2) == dumps(RECORDS[kind](ms), 2)
+    if kind is Spectrum:
+        assert serialize_spectrum(ms, "csv") == spectrum_csv_reference(ms)
 
 
 # ---------------------------------------------------------------------------
