@@ -238,7 +238,9 @@ class RealMultiset(_Multiset):
         pairs = [(float(v), _whole(m, "multiplicity", 0, ValueError), partial) for v, m in pairs]
         return self._subtract_exact(pairs, tol)
 
-    def _subtract(self, values: np.ndarray, wants, tol: float, partial: np.ndarray, pairs):
+    def _subtract(
+        self, values: np.ndarray, wants, tol: float, partial: np.ndarray, pairs, owner=None
+    ):
         """``subtract`` of the pairs zip(values, wants), given as arrays, in one pass.
 
         ``wants`` is one nonnegative int that every pair wants, or an int64
@@ -255,6 +257,17 @@ class RealMultiset(_Multiset):
         its message), and sums past int64.  The walk visits every unmarked
         pair before any marked one; where this path decides, the walk would
         leave the same entries.
+
+        ``owner``, when given, numbers the steps 0..r-1 (r >= 2) of a
+        peeling round, one per pair: step i empties the i-th positive
+        entry.  The call then returns (multiset, removed per step) where
+        this pass shows that the steps, subtracted one by one, would each
+        pass here and leave the same entries, and None otherwise; it never
+        walks.  That holds when, besides the pass deciding, step i alone
+        hits the i-th positive entry and leaves it empty, and no entry
+        that a marked pair hits is hit by two steps: the strict wants of an
+        entry then add up in any order, and the marked ones of an entry
+        take what its own step's strict ones leave.
         """
         n = self._counts.size
         lo = self._values.searchsorted(values - tol, side="left")
@@ -262,14 +275,42 @@ class RealMultiset(_Multiset):
         top = wants if isinstance(wants, int) else int(wants.max(initial=0))
         if top * values.size < COUNT_LIMIT and hit.max(initial=0) <= 1:
             # column n of each row collects the pairs that hit no entry
+            slot = np.where(hit, lo, n)
             need = np.zeros(2 * n + 2, dtype=np.int64)
-            np.add.at(need, np.where(hit, lo, n) + partial * (n + 1), wants)
+            np.add.at(need, slot + partial * (n + 1), wants)
             left = self._counts - need[:n]
             if need[n] == 0 and left.min(initial=0) >= 0:
-                left -= need[n + 1 : -1]
+                marked = need[n + 1 : -1]
+                if owner is not None:
+                    return self._by_steps(slot, left, marked, wants, partial, owner)
+                left -= marked
                 keep = left > 0
                 return RealMultiset._trusted(self._values[keep], left[keep])
-        return self._subtract_exact(pairs(), tol)
+        return None if owner is not None else self._subtract_exact(pairs(), tol)
+
+    def _by_steps(self, slot, left, marked, wants, partial, owner):
+        # the checks and per-step totals of ``_subtract`` with ``owner``
+        n, r = left.size, int(owner[-1]) + 1
+        first = np.full(n + 1, r)
+        last = np.full(n + 1, -1)
+        np.minimum.at(first, slot, owner)
+        np.maximum.at(last, slot, owner)
+        took = np.minimum(left, marked)  # what the marked pairs of an entry remove
+        i0 = int(self._values.searchsorted(0.0, side="right"))
+        heads, steps = slice(i0, i0 + r), np.arange(r)
+        if (
+            i0 + r > n
+            or ((first[heads] != steps) | (last[heads] != steps) | (took[heads] != left[heads])).any()
+            or (first[:n] < last[:n])[marked > 0].any()
+        ):
+            return None
+        removed = np.zeros(r + 1, dtype=np.int64)  # row r collects the marked pairs
+        np.add.at(removed, np.where(partial, r, owner), wants)
+        owned = marked.nonzero()[0]
+        np.add.at(removed, first[owned], took[owned])
+        left -= took
+        keep = left > 0
+        return RealMultiset._trusted(self._values[keep], left[keep]), removed[:r].tolist()
 
     def _subtract_exact(self, pairs, tol: float) -> "RealMultiset":
         # the sequential rule of ``subtract``, which ``_subtract`` reproduces:

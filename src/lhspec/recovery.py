@@ -18,11 +18,24 @@ cannot cover every copy of the minimal value, so ties among commensurable
 classes do not grow exponentially.  Then each attribution's trace is
 subtracted once.
 
-Every subtraction here (a length step, the strip and an attribution) is
-one ``zeros._subtract_traces`` call.  On complete data it costs a fixed
-handful of numpy calls whatever the trace size; the exact point-by-point
-walk runs only where that cannot decide, such as a missing interior point,
-whose error message the walk writes.
+Both peelings go in rounds.  A round is a run of steps that the step walk
+would take one after another with nothing in between: the lengths of the
+next smallest positive entries, or the forced attributions at the next
+minimal values.  Each entry of a round lies more than 2*tol below the next
+positive trace point of every class of the round, so no class reaches a
+later step's entry, which is that step's first point.  A ratio round asks
+``_candidates`` on its starting multiset; peeling only lowers counts, so a
+lone candidate there is the step walk's lone candidate or none, and none
+shows as a point the round overdraws.  A round removes all its traces in
+one ``zeros._subtract_traces`` call, as do the strip and each tie branch.  It commits only where the one-pass path of that call shows
+the steps one by one would each succeed and leave the same entries: each
+step alone hits its own entry and empties it, no entry near the window
+edge is hit by two steps, and every sum fits int64.  Then each step's
+audit record holds what that step alone would remove.  Anything else
+(a missing point, a tol window holding two entries, a shared edge entry)
+cuts the round to its first step, which is the step walk itself: its
+exact point-by-point walk runs where the one pass cannot decide and
+writes the error message.
 
 Everything works on finite windows: a peeled class must show its first two
 trace points inside the window (IncompleteWindow otherwise), and subtraction
@@ -61,8 +74,8 @@ from .zeros import (
     _band,
     _length_multiset,
     _n_range,
+    _subtract_traces,
     strip_k0,
-    subtract_trace,
     zero_line,
 )
 
@@ -83,48 +96,89 @@ def _coerce(z, tol: float) -> RealMultiset:
     return z if isinstance(z, RealMultiset) else RealMultiset.from_values(z, tol)
 
 
+def _round(cur: RealMultiset, first: tuple, reach: float, admit, tol: float) -> list[tuple]:
+    """The peeling round that starts with the step ``first`` at the smallest positive entry.
+
+    The later positive entries join it in ascending order, one step each,
+    while each lies more than 2*tol below ``reach``, the smallest next
+    positive trace point of the round's classes, and ``admit(c, mult)``
+    returns the (step, its class's next positive point) of an entry c of
+    multiplicity mult rather than None.  No class of the round then
+    reaches the smallest entry of a later step, which is the first point
+    of that step's class.
+    """
+    steps = [first]
+    c = first[0]
+    while (mp := cur.min_positive(c)) is not None:
+        c, mult = mp
+        if not c + 2.0 * tol < reach:
+            break
+        got = admit(c, mult)
+        if got is None:
+            break
+        steps.append(got[0])
+        reach = min(reach, got[1])
+    return steps
+
+
 def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None = None) -> RealMultiset:
     """Peel the hidden length multiset out of a windowed {-2*n*pi/a} multiset.
 
-    Loop: take the smallest strictly positive element s0 with multiplicity
+    Step: take the smallest strictly positive element s0 with multiplicity
     mu; emit a = 2*pi/s0 with multiplicity mu; subtract mu copies of the full
-    windowed trace of a; repeat until no positive element remains.  A list
-    passed as ``audit`` receives one record per iteration (for conservation
+    windowed trace of a; repeat until no positive element remains.  The
+    steps go in rounds: a round takes the positive entries s0 in ascending
+    order while each passes the window check and lies more than 2*tol
+    below the second trace point 4*pi/a of every class of the round, and
+    subtracts all their traces at once; it commits where that equals its
+    steps one by one, and is otherwise cut to its first step.  A list
+    passed as ``audit`` receives one record per step (for conservation
     checks: removed == mu * trace size away from the window edge).
     """
     cur = _coerce(z, _check_tol(tol, DomainError))
     band = _band(w, tol)
-    out: list[tuple[float, int]] = []
-    for _ in range(cur.total() + 1):
-        mp = cur.min_positive()
-        if mp is None:
-            break
-        s0, mu = mp
-        a = TWO_PI / s0
+
+    def admit(s0: float, mu: int):
         if 2.0 * s0 > w.im_bound + band:
+            return None
+        a = TWO_PI / s0
+        return (s0, a, mu), 2.0 * TWO_PI / a  # 4*pi/a by the trace's own expression
+
+    out: list[tuple[float, int]] = []
+    limit = cur.total() + 1  # no more steps than that
+    while len(out) < limit and (mp := cur.min_positive()) is not None:
+        first = admit(*mp)
+        if first is None:
             raise IncompleteWindow(
                 f"window |Im(s)| <= {w.im_bound!r} cannot contain the first two trace "
-                f"points of recovered length {a!r}"
+                f"points of recovered length {TWO_PI / mp[0]!r}"
             )
-        before = cur.total()
-        try:
-            cur = subtract_trace(cur, a, 0.0, (0,), mu, w, tol)
-        except UnderflowError as exc:
-            raise NegativeMultiplicity(
-                f"trace of recovered length {a!r} is not fully present: {exc}"
-            ) from exc
-        if audit is not None:
-            r = _n_range(a, 0.0, 0, w.im_bound)
-            audit.append(
-                {
-                    "smallest": s0,
-                    "length": a,
-                    "multiplicity": mu,
-                    "trace_points": r.stop - r.start,
-                    "removed": before - cur.total(),
-                }
-            )
-        out.append((a, mu))
+        steps = _round(cur, *first, admit, tol)
+        while True:
+            rows = [(a, 0.0, mu) for _, a, mu in steps]
+            try:
+                got = _subtract_traces(cur, rows, (0,), w, tol, True)
+            except UnderflowError as exc:
+                raise NegativeMultiplicity(
+                    f"trace of recovered length {steps[0][1]!r} is not fully present: {exc}"
+                ) from exc
+            if got is not None:
+                break
+            steps = steps[:1]
+        cur, removed = got
+        for (s0, a, mu), gone in zip(steps, removed):
+            if audit is not None:
+                r = _n_range(a, 0.0, 0, w.im_bound)
+                audit.append(
+                    {
+                        "smallest": s0,
+                        "length": a,
+                        "multiplicity": mu,
+                        "trace_points": r.stop - r.start,
+                        "removed": gone,
+                    }
+                )
+            out.append((a, mu))
     if cur:
         raise IncompleteWindow(
             f"unpeeled residual of total multiplicity {cur.total()} remains; the window "
@@ -225,21 +279,57 @@ def _candidates(
     return [cd for i, cd in enumerate(pending) if cd.per and i not in failed]
 
 
-def _attribute(cur, avail, ratios, audit, c: float, cd: _Candidate, units: int, ctx: _SearchCtx):
-    """Charge ``units`` class copies of ``cd`` with points at c; UnderflowError if absent.
+def _attribute(cur, avail, ratios, audit, steps: list, ctx: _SearchCtx):
+    """Charge each (c, candidate, units) of ``steps``: ``units`` class copies of the candidate at c.
 
-    One ``subtract_trace`` of all their trace copies.  A ratio carries the
-    class multiplicity; zero holonomy keeps the doubled count.
+    One ``_subtract_traces`` call for all their trace copies, as a round:
+    UnderflowError when a round of one step falls short, None when a round
+    of several cannot commit.  A ratio carries the class multiplicity;
+    zero holonomy keeps the doubled count.
     """
-    copies = units * cd.reps
-    nxt = subtract_trace(cur, cd.a, cd.b, cd.ks, copies, ctx.w, ctx.tol)
+    rows = [(cd.a, cd.b, units * cd.reps) for _, cd, units in steps]
+    got = _subtract_traces(cur, rows, steps[0][1].ks, ctx.w, ctx.tol, True)
+    if got is None:
+        return None
+    nxt, removed = got
     avail = [list(p) for p in avail]
-    avail[cd.idx][1] -= units
-    emitted = units if cd.kind == "ratio" else copies
-    ratios = ratios + (((c if cd.kind == "ratio" else 0.0), emitted),)
-    record = dict(smallest=c, kind=cd.kind, length=cd.a, holonomy=cd.b, multiplicity=emitted)
-    record.update(trace_points=cd.trace_points, removed=cur.total() - nxt.total())
-    return nxt, avail, ratios, audit + (record,)
+    for (c, cd, units), gone in zip(steps, removed):
+        avail[cd.idx][1] -= units
+        emitted = units if cd.kind == "ratio" else units * cd.reps
+        ratios += (((c if cd.kind == "ratio" else 0.0), emitted),)
+        record = dict(smallest=c, kind=cd.kind, length=cd.a, holonomy=cd.b, multiplicity=emitted)
+        record.update(trace_points=cd.trace_points, removed=gone)
+        audit += (record,)
+    return nxt, avail, ratios, audit
+
+
+def _forced(cur, avail, first: tuple, ctx: _SearchCtx):
+    """``admit`` of a ratio round that starts with the forced step ``first``.
+
+    An entry c joins when ``_candidates``, run on the round's starting
+    multiset with the lengths the round has not used, finds exactly one
+    candidate, a ratio, that takes the whole multiplicity at c.  Peeling
+    only lowers counts, so the step walk would find that candidate or
+    none; none means a point the round's traces overdraw, which the
+    round's subtraction finds.  An entry that does not join leaves
+    ``ctx.window_short`` as it found it: the step walk may never ask there.
+    """
+    left = [list(p) for p in avail]
+    left[first[1].idx][1] -= first[2]
+
+    def admit(c: float, mult: int):
+        short_before = ctx.window_short
+        cands = _candidates(cur, left, c, 0, ctx)
+        if len(cands) == 1 and cands[0].kind == "ratio":
+            cd = cands[0]
+            units, short = divmod(mult, cd.per)
+            if not short and left[cd.idx][1] >= units:
+                left[cd.idx][1] -= units
+                return (c, cd, units), (TWO_PI - cd.b) / cd.a
+        ctx.window_short = short_before
+        return None
+
+    return admit
 
 
 def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
@@ -257,6 +347,11 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
     attributions made at c remove points at c; and one copy of a candidate
     removes at most ``per`` of them.  So c stays the minimal value, and
     every leaf of the cut branch is a dead end at c.
+
+    A forced step where ``last`` is None starts a round: the forced steps
+    that follow it at the next minimal values (see ``_forced``), each more
+    than 2*tol below every round class's next positive point (2*pi-b)/a,
+    are subtracted with it at once, or it is cut to its first step.
     """
     while len(ctx.distinct) < 2:
         mp = cur.min_positive()
@@ -276,7 +371,7 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
             branches = []
             for cd in cands:
                 try:
-                    branches.append((cd, _attribute(cur, avail, ratios, audit, c, cd, 1, ctx)))
+                    branches.append((cd, _attribute(cur, avail, ratios, audit, [(c, cd, 1)], ctx)))
                 except UnderflowError:
                     pass
             if not branches:
@@ -293,10 +388,22 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
         units, short = divmod(mult, cd.per)
         if short or avail[cd.idx][1] < units:
             return ctx.stuck(c)
-        try:
-            cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, c, cd, units, ctx)
-        except UnderflowError:
-            return ctx.stuck(c)
+        steps = [(c, cd, units)]
+        short_at_c = ctx.window_short
+        if last is None and cd.kind == "ratio":
+            admit = _forced(cur, avail, steps[0], ctx)
+            steps = _round(cur, steps[0], (TWO_PI - cd.b) / cd.a, admit, ctx.tol)
+        while True:
+            try:
+                got = _attribute(cur, avail, ratios, audit, steps, ctx)
+            except UnderflowError:
+                return ctx.stuck(c)
+            if got is not None:
+                break
+            # abandoned: only the first step stands, and the flag is its own
+            steps = steps[:1]
+            ctx.window_short = short_at_c
+        cur, avail, ratios, audit = got
         last = None
 
 

@@ -155,30 +155,46 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     return RealMultiset._from_arrays(_joined(parts), counts, tol=TAU_ZERO)
 
 
-def _subtract_traces(ms: RealMultiset, classes, b: float, ks, w: ZeroWindow, tol: float):
-    """Remove ``mult`` copies of the trace of (a, b) over ks for each (a, mult) of classes at once.
+def _subtract_traces(ms: RealMultiset, rows, ks, w: ZeroWindow, tol: float, steps: bool = False):
+    """Remove ``mult`` copies of the trace of (a, b) over ks for each (a, b, mult) of rows at once.
 
     ``mult`` and ``tol`` are trusted.  All padded progressions are built
     in one call and handed to ``RealMultiset._subtract`` unmerged, each
-    point wanting its class's ``mult`` (one int for one class, an int64
-    array for several): where every tol window holds at most one entry,
-    the copies of a value that several progressions of a class share hit
-    the same entry with the same edge flag, so their summed wants are
-    those of the merged pair.  Only the exact walk, which runs where that
-    path cannot decide, takes merged pairs: a value shared within a class
-    is one pair wanting ``mult`` copies per progression, kept at its first
+    point wanting its row's ``mult`` (one int for one row, an int64 array
+    for several): where every tol window holds at most one entry, the
+    copies of a value that several progressions of a row share hit the
+    same entry with the same edge flag, so their summed wants are those of
+    the merged pair.  Only the exact walk, which runs where that path
+    cannot decide, takes merged pairs: a value shared within a row is one
+    pair wanting ``mult`` copies per progression, kept at its first
     occurrence in k-major order, with Python-int wants.
+
+    With ``steps`` the rows are the steps of a peeling round, row i
+    emptying the i-th positive entry of ``ms``, and the call returns the
+    multiset with the total each row removed.  A round of one row is a
+    plain subtraction.  A round of several gives what its rows subtracted
+    one by one would give, or None where the one pass of
+    ``RealMultiset._subtract`` cannot show that or the round passes the
+    point cap; it never walks and raises nothing.
     """
-    rows = [(_positive(a, "length"), b, k) for a, _ in classes for k in ks]
-    parts = _progressions(rows, w.im_bound, pad=1)
+    if steps and len(rows) == 1:
+        nxt = _subtract_traces(ms, rows, ks, w, tol)
+        return nxt, [ms.total() - nxt.total()]
+    try:
+        rows_k = [(_positive(a, "length"), b, k) for a, b, _ in rows for k in ks]
+        parts = _progressions(rows_k, w.im_bound, pad=1)
+    except DomainError:
+        if steps:
+            return None
+        raise
     values = _joined(parts)
     edge = np.abs(values) > w.im_bound - _band(w, tol)
-    mults = [mult for _, mult in classes]
-    n = len(ks)  # progressions per class
+    mults = [mult for *_, mult in rows]
+    n = len(ks)  # progressions per row
     sizes = [p.size for p in parts]
-    wants = (
-        mults[0] if len(mults) == 1 else np.repeat(np.array(mults, dtype=np.int64).repeat(n), sizes)
-    )
+    row = np.arange(len(rows)).repeat(n)  # the row of each progression
+    wants = mults[0] if len(mults) == 1 else np.repeat(np.array(mults, dtype=np.int64)[row], sizes)
+    owner = np.repeat(row, sizes) if steps else None
 
     def pairs():
         out, end = [], 0
@@ -191,7 +207,7 @@ def _subtract_traces(ms: RealMultiset, classes, b: float, ks, w: ZeroWindow, tol
             out += zip(trace[order].tolist(), wanted, edge[start + first].tolist())
         return out
 
-    return ms._subtract(values, wants, tol, edge, pairs)
+    return ms._subtract(values, wants, tol, edge, pairs, owner)
 
 
 def subtract_trace(
@@ -219,7 +235,7 @@ def subtract_trace(
     is negative or not finite, as ``RealMultiset.subtract`` does.
     """
     mult = _whole(mult, "multiplicity", 0, ValueError)
-    return _subtract_traces(ms, [(a, mult)], b, ks, w, _check_tol(tol, ValueError))
+    return _subtract_traces(ms, [(a, b, mult)], ks, w, _check_tol(tol, ValueError))
 
 
 def _length_multiset(lengths, tol: float) -> RealMultiset:
@@ -242,6 +258,6 @@ def strip_k0(
     tol = _check_tol(tol, ValueError)
     lengths = _length_multiset(lengths, tol)
     try:
-        return _subtract_traces(zl, lengths, 0.0, (0,), w, tol)
+        return _subtract_traces(zl, [(a, 0.0, m) for a, m in lengths], (0,), w, tol)
     except UnderflowError as exc:
         raise UnderflowError(f"zero line is missing k=0 trace points: {exc}") from exc

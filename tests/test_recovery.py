@@ -3,7 +3,9 @@
 import json
 import math
 import signal
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -546,20 +548,22 @@ def test_tied_classes_recover_through_the_cli(tmp_path, capsys):
 
 
 def test_each_forced_batch_subtracts_once(monkeypatch):
+    # the forced attributions at 0.5 and 0.65 make one round: a single
+    # _subtract_traces call carries the whole multiplicity of each
     spec = Spectrum([(1.0, 0.5, 3), (2.0, 1.3, 2)])
     w = window_for(spec)
     cur = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
     calls = []
 
-    def counted(*args):
-        calls.append(args[1:5])
-        return real(*args)
+    def counted(ms, rows, *args):
+        calls.append(list(rows))
+        return real(ms, rows, *args)
 
-    real = recovery.subtract_trace
-    monkeypatch.setattr(recovery, "subtract_trace", counted)
+    real = recovery._subtract_traces
+    monkeypatch.setattr(recovery, "_subtract_traces", counted)
     got = recover_ratios(cur, spec.lengths(), w)
     assert multiset_equal(got, RealMultiset([(0.5, 3), (0.65, 2)]), 1e-9)
-    assert [(a, mult) for a, _, _, mult in calls] == [(1.0, 3), (2.0, 2)]
+    assert calls == [[(1.0, 0.5, 3), (2.0, 1.3, 2)]]
 
 
 def test_exact_complete_lines_never_take_the_exact_walk(rng, monkeypatch):
@@ -592,3 +596,215 @@ def test_recover_ratios_counts_a_huge_trace_without_len():
         recover_ratios(
             RealMultiset.from_values([1e-300]), RealMultiset([(1e300, 1)]), ZeroWindow(0, 10.0)
         )
+
+
+# ---------------------------------------------------------------------------
+# peeling rounds: each equals its steps one by one
+
+
+def step_only(cur, first, reach, admit, tol):
+    """A stand-in for recovery._round whose rounds stop after their first step."""
+    return [first]
+
+
+def peel_outcome(m0, m1, spec, w, tol):
+    """Lengths, strip residual and ratios of two zero lines, stage by stage.
+
+    Each stage gives its entries (with the audit records of a recovery) or
+    its error's type and message; a length audit is kept on error too.
+    ``strip_k0`` and the ratio peeling take the recovered lengths, or the
+    spectrum's own where length peeling failed.
+    """
+    audit = []
+    try:
+        lengths = recover_lengths(m0, w, tol, audit)
+        out = [(lengths.entries, audit)]
+    except SpectralError as exc:
+        lengths = spec.lengths()
+        out = [(type(exc), str(exc), audit)]
+    try:
+        resid = strip_k0(m1, lengths, w, tol)
+    except SpectralError as exc:
+        return out + [(type(exc), str(exc))]
+    return out + [resid.entries, ratio_outcome(with_audit, resid, lengths, w, tol)]
+
+
+def peel_outcome_by_steps(*args):
+    with mock.patch.object(recovery, "_round", step_only):
+        return peel_outcome(*args)
+
+
+def perturbed(ms, share, tol, rng):
+    """ms with each entry, with probability share, dropped by one copy, doubled or moved within tol."""
+    out = []
+    for (v, m), u, d in zip(ms.entries, rng.random(len(ms)), rng.uniform(-1.0, 1.0, len(ms))):
+        if u < share / 3:
+            m -= 1
+        elif u < 2 * share / 3:
+            m *= 2
+        elif u < share:  # never nearer 0 than half way
+            v += min(tol, abs(v) / 2) * d
+        out.append((v, m))
+    return RealMultiset(out, tol=0.0)
+
+
+@st.composite
+def round_inputs(draw):
+    # random, commensurable, holonomy 0 and pi, tied and 2**53 + 1 spectra,
+    # their zero lines kept or perturbed, at a tol of 1e-9 to 1e-3
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "commensurable", "zero_pi", "tied", "huge"]))
+    if kind == "commensurable":
+        sets = [(1.0, 2.0), (1.0, 2.0, 3.0), (0.5, 1.5, 3.0)]
+        spec = commensurable_spectrum(rng, draw(st.sampled_from(sets)))
+    elif kind == "tied":
+        spec = tied_family(draw(st.integers(2, 6)), draw(st.integers(1, 3)))
+    else:
+        rows = list(rand_spectrum(rng, max_classes=10))
+        if kind == "zero_pi":
+            for _ in range(draw(st.integers(1, 3))):
+                a = draw(st.sampled_from([1.0, 2.0]) | st.floats(0.5, 5.0))
+                rows.append((a, draw(st.sampled_from([0.0, PI])), draw(st.integers(1, 3))))
+        elif kind == "huge":
+            a, b, _ = rows[0]
+            rows[0] = (a, b, 2**53 + 1)
+        spec = Spectrum(rows)
+    reach = draw(st.sampled_from([20.0, 20.0 * (1 + 1e-3)]) | st.floats(1.5, 25.0))
+    w = ZeroWindow(0, reach * PI / spec.min_length())
+    tol = draw(st.sampled_from([1e-9, 1e-8, 1e-6, 1e-4, 1e-3]))
+    share = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05]))
+    m0, m1 = (perturbed(zero_line(spec, k, w), share, tol, rng) for k in (0, 1))
+    return m0, m1, spec, w, tol
+
+
+@given(round_inputs())
+@settings(max_examples=150, deadline=None)
+def test_rounds_peel_as_their_steps_one_by_one(inputs):
+    # lengths, strip residual, ratios, audits and errors of the rounds are
+    # those of the step walk, whose rounds stop after one step
+    assert peel_outcome(*inputs) == peel_outcome_by_steps(*inputs)
+
+
+def length_line(firsts, w):
+    """The twist-0 zero line of zero-holonomy classes whose first trace points are ``firsts``."""
+    return zero_line(Spectrum([(TWO_PI / v, 0.0, 1) for v in firsts]), 0, w)
+
+
+def test_length_round_ends_before_an_entry_outside_the_window():
+    # 5.05 lies below the second point 9.8 of the class at 4.9, but 2 * 5.05
+    # leaves the window: the round is the step at 4.9, and the next one
+    # raises as the step walk does, after one audit record
+    w = ZeroWindow(0, 10.0)
+    line = length_line([4.9, 5.05], w)
+    second = line.min_positive(line.min_positive()[0])[0]
+    want = peel_outcome_by_steps(line, RealMultiset(), Spectrum(), w, 1e-9)
+    assert peel_outcome(line, RealMultiset(), Spectrum(), w, 1e-9) == want
+    error, message, audit = want[0]
+    assert error is IncompleteWindow and f"recovered length {TWO_PI / second!r}" in message
+    assert len(audit) == 1
+
+
+def test_length_round_missing_a_point_of_its_second_class_replays_the_steps(monkeypatch):
+    # the round at 4.9 and 5.05 cannot commit without the point 2 * 5.05:
+    # the step at 4.9 stands, and the step at 5.05 ends in the walk's
+    # NegativeMultiplicity, which names its length
+    w = ZeroWindow(0, 16.0)
+    line = length_line([4.9, 5.05], w)
+    second = line.min_positive(line.min_positive()[0])[0]
+    hole = line.min_positive(10.0)[0]
+    broken = line.subtract([(hole, 1)], tol=0.0)
+    calls = []
+
+    def counted(ms, rows, *args):
+        calls.append(len(rows))
+        return real(ms, rows, *args)
+
+    real = recovery._subtract_traces
+    monkeypatch.setattr(recovery, "_subtract_traces", counted)
+    got = peel_outcome(broken, RealMultiset(), Spectrum(), w, 1e-9)
+    assert calls == [2, 1, 1]  # the round, then its two steps
+    assert got == peel_outcome_by_steps(broken, RealMultiset(), Spectrum(), w, 1e-9)
+    error, message, audit = got[0]
+    assert error is NegativeMultiplicity
+    assert message.startswith(f"trace of recovered length {TWO_PI / second!r} is not fully present")
+    assert message.endswith(f"cannot remove 1 more copies of {hole!r} (multiset underflow)")
+    assert [rec["smallest"] for rec in audit] == [line.min_positive()[0]]
+
+
+@pytest.mark.parametrize("gap", [0.0, 1.5])
+def test_length_rounds_stop_two_tol_short_of_a_second_point(gap, monkeypatch):
+    # the class at pi reaches 2*pi with its second point: an entry there, or
+    # within 2*tol below it, starts a round of its own, so no round is cut
+    tol = 1e-6
+    w = ZeroWindow(0, 20.0)
+    line = length_line([PI, TWO_PI - gap * tol], w)
+    calls = []
+
+    def counted(ms, rows, *args):
+        calls.append(list(rows))
+        return real(ms, rows, *args)
+
+    real = recovery._subtract_traces
+    monkeypatch.setattr(recovery, "_subtract_traces", counted)
+    got = recover_lengths(line, w, tol)
+    second = got.entries[0][0]
+    assert calls == [[(2.0, 0.0, 1)], [(second, 0.0, 1)]]
+    assert got == RealMultiset([(2.0, 1), (TWO_PI / (TWO_PI - gap * tol), 1)], 0.0)
+
+
+def test_length_round_sharing_an_edge_entry_replays_the_steps():
+    # the class at 3.33 reaches 9.99 (count 1) with a point in the edge zone
+    # (|v| > 9.99), the class at 4.99 with an interior one.  One by one, the
+    # first takes the copy and the second underflows; at once, the strict
+    # want would be served first.  So the round falls back to its steps.
+    w, tol = ZeroWindow(0, 10.0), 1e-3
+    line = length_line([9.9905 / 3, 9.9895 / 2], w)
+    assert [v for v, _ in line if abs(v) > 9.98] == [-9.9905, -9.9895, 9.9895, 9.9905]
+    shared = RealMultiset([(v, m) for v, m in line if abs(v) < 9.98] + [(-9.99, 2), (9.99, 1)], 0.0)
+    got = peel_outcome(shared, RealMultiset(), Spectrum(), w, tol)
+    assert got == peel_outcome_by_steps(shared, RealMultiset(), Spectrum(), w, tol)
+    error, message, audit = got[0]
+    assert error is NegativeMultiplicity and "cannot remove 1 more copies of 9.9895" in message
+    assert len(audit) == 1
+
+
+@pytest.mark.parametrize(
+    "extra, error",
+    [([], NegativeMultiplicity), ([(0.2, 1)], IncompleteWindow)],
+    ids=["no_short_length", "short_length"],
+)
+def test_ratio_round_abandoned_keeps_the_step_walk_error(extra, error, monkeypatch):
+    # the forced steps at 0.5 and 0.65 make a round, which cannot commit
+    # without the point -5.78... of the first class; the step at 0.5 then
+    # underflows.  The error type follows the window flag of the step walk,
+    # which the length 0.2 (window short at every c here) sets
+    spec = Spectrum([(1.0, 0.5, 1), (2.0, 1.3, 1)])
+    w = ZeroWindow(0, 20.0)
+    resid = strip_k0(zero_line(spec, 1, w), spec.lengths(), w)
+    broken = resid.subtract([(0.5 - TWO_PI, 1)], tol=0.0)
+    lengths = list(spec.lengths()) + extra
+    calls = []
+
+    def counted(ms, rows, *args):
+        calls.append(len(rows))
+        return real(ms, rows, *args)
+
+    real = recovery._subtract_traces
+    monkeypatch.setattr(recovery, "_subtract_traces", counted)
+    got = ratio_outcome(with_audit, broken, lengths, w, 1e-9)
+    assert calls == [2, 1]
+    with mock.patch.object(recovery, "_round", step_only):
+        assert got == ratio_outcome(with_audit, broken, lengths, w, 1e-9)
+    assert got[0] is error and str(got[1]).endswith(("value 0.5", "(stuck at 0.5)"))
+
+
+def test_ratio_round_probe_it_refuses_leaves_the_window_flag():
+    # the round's admit probes c = 12 and refuses it; the length 0.2 is
+    # window short there, but the step walk may never ask at 12, so the
+    # flag stays as the probe found it
+    w = ZeroWindow(0, 10.0)
+    ctx = _SearchCtx(w=w, tol=1e-9, band=1e-9 * 10.0)
+    first = (0.5, recovery._Candidate("ratio", 0, 1.0, 0.5, (1, -1), 1, 1, 7), 1)
+    admit = recovery._forced(RealMultiset.from_values([0.5, 12.0]), [[1.0, 2], [0.2, 1]], first, ctx)
+    assert admit(12.0, 1) is None
+    assert ctx.window_short is False
