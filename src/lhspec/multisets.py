@@ -212,12 +212,36 @@ class RealMultiset(_Multiset):
         hi = np.searchsorted(self._values, value + tol, side="right")
         return int(self._counts[lo:hi].sum())
 
-    def counts_near(self, values: np.ndarray, tol: float) -> np.ndarray:
-        """``count_near`` of each of an array of values, in one pass."""
-        cum = np.concatenate(([0], np.cumsum(self._counts)))
-        lo = np.searchsorted(self._values, values - tol, side="left")
-        hi = np.searchsorted(self._values, values + tol, side="right")
-        return cum[hi] - cum[lo]
+    def _near(self, values: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        """(slot, two) of the tol window of each of values, which hold no NaN.
+
+        ``slot`` is the first entry inside the window, or the number of
+        entries where it holds none, and ``two`` marks a window holding two
+        entries or more.  One binary search finds the first entry at or
+        above v - tol; it and the entry after it are inside when they lie
+        at or below v + tol.
+        """
+        vals, n = self._values, self._values.size
+        lo = vals.searchsorted(values - tol, side="left")
+        if n == 0:
+            return lo, np.zeros(lo.size, dtype=bool)
+        up = values + tol
+        # where lo = n the clipped gather reads entry n - 1, and the slot is n either way
+        slot = np.where(vals.take(lo, mode="clip") <= up, lo, n)
+        two = (vals.take(lo + 1, mode="clip") <= up) & (lo < n - 1)
+        return slot, two
+
+    def _holds(self, values: np.ndarray, need: np.ndarray, tol: float) -> np.ndarray:
+        """Whether ``count_near(v, tol) >= m`` for each v of values and m of need, each m at most 2.
+
+        Counts are at least 1, so a window of two entries always holds
+        ``m`` copies and an empty one never does.
+        """
+        slot, two = self._near(values, tol)
+        n = self._counts.size
+        if n == 0:
+            return two
+        return two | ((slot < n) & (self._counts.take(slot, mode="clip") >= need))
 
     def subtract(
         self,
@@ -270,12 +294,10 @@ class RealMultiset(_Multiset):
         take what its own step's strict ones leave.
         """
         n = self._counts.size
-        lo = self._values.searchsorted(values - tol, side="left")
-        hit = self._values.searchsorted(values + tol, side="right") - lo
+        slot, two = self._near(values, tol)
         top = wants if isinstance(wants, int) else int(wants.max(initial=0))
-        if top * values.size < COUNT_LIMIT and hit.max(initial=0) <= 1:
+        if top * values.size < COUNT_LIMIT and not two.any():
             # column n of each row collects the pairs that hit no entry
-            slot = np.where(hit, lo, n)
             need = np.zeros(2 * n + 2, dtype=np.int64)
             np.add.at(need, slot + partial * (n + 1), wants)
             left = self._counts - need[:n]

@@ -16,7 +16,11 @@ interior trace points, computed by the trace's own expression
 or the subtraction would underflow.  It cuts the branch when the survivors
 cannot cover every copy of the minimal value, so ties among commensurable
 classes do not grow exponentially.  Then each attribution's trace is
-subtracted once.
+subtracted once.  The probe points of k = -1 are those of k = +1 negated,
+as the k = -1 trace is the k = +1 trace mirrored through 0 (see
+``zeros``).  A probe point passes when its tol window holds two entries, or
+one entry with as many copies as the candidate asks (one or two): one
+binary search and two gathers, with no sum of counts.
 
 Both peelings go in rounds.  A round is a run of steps that the step walk
 would take one after another with nothing in between: the lengths of the
@@ -229,9 +233,11 @@ def _candidates(
     the doubled k = 0 trace left behind by a zero-holonomy class.
 
     Points are computed by the trace's own expression (-b*k - 2*pi*n)/a,
-    so they equal trace values bit for bit.  ``per`` adds ``reps`` for each
-    k whose point nearest c lies within tol of it.  The probe asks a few
-    interior trace points (inside the zone ``subtract_trace`` removes
+    so they equal trace values bit for bit, and the k = -1 points are the
+    k = +1 points negated (see ``zeros._traces``; only the sign of a zero
+    can differ, which no comparison here sees).  ``per`` adds ``reps`` for
+    each k whose point nearest c lies within tol of it.  The probe asks a
+    few interior trace points (inside the zone ``subtract_trace`` removes
     strictly) for ``reps`` copies each, all candidates in one pass; a
     candidate that fails it would underflow.  Nothing is subtracted here.
     """
@@ -255,26 +261,27 @@ def _candidates(
         if abs(b1 - TWO_PI) <= slack:
             tries.append(("zero", 0.0, (0,), 2))
         for kind, b, ks, reps in tries:
-            size = per = 0
+            per = 0
             for k in ks:
                 n = round((-b * k - c * a) / TWO_PI)
                 if abs((-b * k - TWO_PI * n) / a - c) <= ctx.tol:
                     per += reps
-                r = _n_range(a, b, k, im_bound)
-                count = r.stop - r.start  # not len(r), which fails past 2**63
-                size += count
-                # one step in from each end of the window, far from c,
-                # which every candidate explains by construction
-                for n in (r[1], r[-2]) if count > 2 else r:
-                    v = (-b * k - TWO_PI * n) / a
-                    if abs(v) <= lim:
-                        points.append(v)
-                        owner.append(len(pending))
-            pending.append(_Candidate(kind, idx, a, b, ks, reps, per, size))
+            # the k = -1 points are the k = +1 points negated (see zeros._traces)
+            k, mirror = ks[0], ks == (1, -1)
+            r = _n_range(a, b, k, im_bound)
+            count = r.stop - r.start  # not len(r), which fails past 2**63
+            # one step in from each end of the window, far from c,
+            # which every candidate explains by construction
+            for n in (r[1], r[-2]) if count > 2 else r:
+                v = (-b * k - TWO_PI * n) / a
+                if abs(v) <= lim:
+                    points += (v, -v) if mirror else (v,)
+                    owner += (len(pending),) * (1 + mirror)
+            pending.append(_Candidate(kind, idx, a, b, ks, reps, per, count * len(ks)))
     if not pending:
         return []
     need = np.array([pending[i].reps for i in owner], dtype=np.int64)  # reps per point
-    short = cur.counts_near(np.array(points), ctx.tol) < need
+    short = ~cur._holds(np.array(points), need, ctx.tol)
     failed = {owner[j] for j in np.flatnonzero(short).tolist()}
     return [cd for i, cd in enumerate(pending) if cd.per and i not in failed]
 

@@ -10,6 +10,14 @@ Re(s) = 0, -1, -2, ...  Everything here is windowed: |Im(s)| <= im_bound
 (called Lambda in the recovery contracts), with exact integer n-ranges so a
 windowed multiset is complete for its window by construction.  A ZeroWindow
 is checked when it is made, and the functions that take one trust it.
+
+The map (k, n) -> (-k, -n) negates every point, so the k = -1 trace of a
+class is its k = +1 trace mirrored through 0.  ``class_trace``,
+``zero_line`` and the trace subtraction build each k > 0 row once and take
+the -k row as that row negated and reversed (``_traces``).  That is bit
+for bit the row built directly, except for the sign of an exact zero,
+which all three make 0.0.  ``zero_multiset`` keeps that sign as the order
+of its progressions decides it, so it builds every row itself.
 """
 
 from __future__ import annotations
@@ -63,6 +71,33 @@ def _n_range(a: float, b: float, kk: int, im_bound: float) -> range:
 #: the most points one call may build, counted before any is allocated
 _POINT_CAP = 2**24
 
+#: np.arange builds every integer n with |n| <= 2**53 exactly
+_EXACT_N = 2**53
+
+
+def _check_cap(total: int, im_bound: float) -> None:
+    if total >= _POINT_CAP:
+        msg = f"window im_bound {im_bound!r} asks for {_POINT_CAP} points or more (the point cap)"
+        raise DomainError(msg)
+
+
+def _line(a: float, b: float, k: int, lo: int, hi: int) -> np.ndarray:
+    # (-b*k - 2*n*pi)/a for n in range(lo, hi)
+    return (-b * k - TWO_PI * np.arange(lo, hi, dtype=np.float64)) / a
+
+
+def _spans(rows, im_bound: float, pad: int) -> tuple[list[tuple], int]:
+    """(a, b, k, lo, hi) of each (a, b, k) row, n in range(lo, hi) padded by ``pad`` at each end.
+
+    Also returns the number of points of all rows.
+    """
+    spans, total = [], 0
+    for a, b, k in rows:
+        r = _n_range(a, b, k, im_bound)
+        total += r.stop - r.start + 2 * pad
+        spans.append((a, b, k, r.start - pad, r.stop + pad))
+    return spans, total
+
 
 def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
     """(-b*k - 2*n*pi)/a for each (a, b, k) row, n ascending over the window and ``pad`` past it.
@@ -71,15 +106,47 @@ def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
     n-range bounds before any is built: DomainError when they reach the
     point cap.
     """
-    spans, total = [], 0
-    for a, b, k in rows:
-        r = _n_range(a, b, k, im_bound)
-        total += r.stop - r.start + 2 * pad
-        spans.append((a, b, k, r.start - pad, r.stop + pad))
-    if total >= _POINT_CAP:
-        msg = f"window im_bound {im_bound!r} asks for {_POINT_CAP} points or more (the point cap)"
-        raise DomainError(msg)
-    return [(-b * k - TWO_PI * np.arange(lo, hi, dtype=np.float64)) / a for a, b, k, lo, hi in spans]
+    spans, total = _spans(rows, im_bound, pad)
+    _check_cap(total, im_bound)
+    return [_line(*span) for span in spans]
+
+
+def _traces(classes, ks: Sequence[int], im_bound: float, pad: int = 0) -> list[np.ndarray]:
+    """``_progressions`` of the rows (a, b, k) for each class (a, b) and each k of ks, in that order.
+
+    The map (k, n) -> (-k, -n) negates every point, and rounding commutes
+    with negation: the n-range of -k is that of k negated, and its row is
+    the row of k reversed and negated, bit for bit, wherever np.arange
+    builds every n exactly.  So a k < 0 row whose -k is asked for too is
+    taken from that row, and counted against the point cap as that row
+    is.  The one difference is an exact zero from nonzero operands, 0.0
+    in a row that is built and -0.0 in a mirrored one, which ``_joined``
+    makes 0.0; every caller joins the rows through it.  ``zero_multiset``,
+    which keeps the sign of a zero on purpose, builds every row instead.
+    """
+    ks = tuple(ks)
+    own = [k for k in ks if not (k < 0 and -k in ks)]  # the rows that are built
+    rows = [(a, b, k) for a, b in classes for k in own]
+    if len(own) == len(ks):
+        return _progressions(rows, im_bound, pad)
+    spans, total = _spans(rows, im_bound, pad)
+    src = [own.index(-k if k < 0 and -k in ks else k) for k in ks]  # the own row of each k
+    mirrored = [i for k, i in zip(ks, src) if k != own[i]]
+    starts = range(0, len(spans), len(own))  # the first row of each class
+    total += sum(spans[j + i][4] - spans[j + i][3] for j in starts for i in mirrored)
+    _check_cap(total, im_bound)
+    parts = [_line(*span) for span in spans]
+    out = []
+    for j in starts:
+        for k, i in zip(ks, src):
+            a, b, _, lo, hi = spans[j + i]
+            if k == own[i]:
+                out.append(parts[j + i])
+            elif max(-lo, hi) <= _EXACT_N:
+                out.append(-parts[j + i][::-1])
+            else:  # n = 1 - hi .. -lo
+                out.append(_line(a, b, k, 1 - hi, 1 - lo))
+    return out
 
 
 def _band(w: ZeroWindow, tol: float) -> float:
@@ -94,7 +161,7 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
 
 def class_trace(a: float, b: float, ks: Sequence[int], w: ZeroWindow) -> list[float]:
     """All windowed imaginary parts (-b*k - 2*n*pi)/a for k in ks (with repeats)."""
-    return _joined(_progressions([(_positive(a, "length"), b, k) for k in ks], w.im_bound)).tolist()
+    return _joined(_traces([(_positive(a, "length"), b)], ks, w.im_bound)).tolist()
 
 
 def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
@@ -150,7 +217,7 @@ def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:
     tau_m = _whole(tau, "twist index", 0)
     ks = range(-tau_m, tau_m + 1)
     classes = zip(diff._lengths.tolist(), diff._holonomies.tolist())
-    parts = _progressions([(a, b, k) for a, b in classes for k in ks], w.im_bound)
+    parts = _traces(classes, ks, w.im_bound)
     counts = np.repeat(np.repeat(diff._counts, len(ks)), [p.size for p in parts])
     return RealMultiset._from_arrays(_joined(parts), counts, tol=TAU_ZERO)
 
@@ -181,8 +248,8 @@ def _subtract_traces(ms: RealMultiset, rows, ks, w: ZeroWindow, tol: float, step
         nxt = _subtract_traces(ms, rows, ks, w, tol)
         return nxt, [ms.total() - nxt.total()]
     try:
-        rows_k = [(_positive(a, "length"), b, k) for a, b, _ in rows for k in ks]
-        parts = _progressions(rows_k, w.im_bound, pad=1)
+        classes = [(_positive(a, "length"), b) for a, b, _ in rows]
+        parts = _traces(classes, ks, w.im_bound, pad=1)
     except DomainError:
         if steps:
             return None

@@ -77,6 +77,35 @@ def test_count_near_window():
     assert ms.count_near(10.0, 1.0) == 0
 
 
+@pytest.mark.parametrize(
+    "pairs, values, tol",
+    [
+        ([(1.0, 1), (1.1, 1)], [1.05, 1.0, 1.2], 0.1),  # two count-1 entries in one window
+        ([(1.0, 1), (2.0, 3)], [2.4, 5.0, 1e308], 0.5),  # past the last entry
+        ([(1.0, 1), (2.0, 1), (3.0, 2)], [1.5, 2.5, 0.5], 0.5),  # window ends on entries
+        ([(3.0, 2)], [2.0, 2.5, 3.0, 3.5, 4.0], 0.5),  # one entry
+        ([], [0.0, 1.0], 0.5),
+    ],
+    ids=["two_in_window", "past_last", "ends_on_entries", "one_entry", "empty"],
+)
+def test_window_hits_agree_with_count_near_and_the_walk(pairs, values, tol):
+    ms = RealMultiset(pairs, tol=0.0)
+    vals = np.array(values)
+    for need in (1, 2):
+        held = [ms.count_near(v, tol) >= need for v in values]
+        assert ms._holds(vals, np.full(vals.size, need), tol).tolist() == held
+        triples = [(v, need, False) for v in values]
+        try:
+            want = ms._subtract_exact(triples, tol)
+        except UnderflowError as exc:
+            with pytest.raises(UnderflowError) as got:
+                ms._subtract(vals, need, tol, np.zeros(vals.size, dtype=bool), lambda: triples)
+            assert str(got.value) == str(exc)
+        else:
+            got = ms._subtract(vals, need, tol, np.zeros(vals.size, dtype=bool), lambda: triples)
+            assert got.entries == want.entries
+
+
 def test_subtract_exact_and_underflow():
     ms = RealMultiset([(1.0, 2), (2.0, 1)])
     out = ms.subtract([(1.0, 1)], tol=1e-9)
@@ -132,6 +161,21 @@ def test_canonical_form_matches_sequential_clustering(pairs, tol):
     # runs of neighbours within tol that span more than tol (0.3 on this grid)
     # take the loop itself; the others are merged without it
     assert RealMultiset(pairs, tol).entries == tuple(cluster_reference(pairs, tol))
+
+
+@given(
+    grid_pairs,
+    st.lists(st.integers(-20, 20).map(lambda i: i * 0.125), max_size=10),
+    st.sampled_from([0.0, 0.1, 0.125, 0.3, 0.6]),
+    st.lists(st.integers(1, 2), min_size=10, max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_holds_matches_count_near(stored, values, tol, needs):
+    # counts are at least 1, so for needs of 1 or 2 two entries in a window always do
+    ms = RealMultiset(stored, tol=0.0)
+    need = np.array(needs[: len(values)], dtype=np.int64)
+    held = [ms.count_near(v, tol) >= m for v, m in zip(values, need.tolist())]
+    assert ms._holds(np.array(values, dtype=np.float64), need, tol).tolist() == held
 
 
 def subtract_arrays(ms, pairs, tol, partial):

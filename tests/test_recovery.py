@@ -31,7 +31,7 @@ from lhspec import (
 )
 from lhspec import recovery
 from lhspec.recovery import _candidates, _SearchCtx
-from lhspec.zeros import subtract_trace
+from lhspec.zeros import _n_range, subtract_trace
 
 from helpers import (
     TWO_PI,
@@ -444,6 +444,22 @@ def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mul
         cd = want[0]
         cur = subtract_trace(cur, cd.a, cd.b, cd.ks, cd.reps, w, tol)
         avail[cd.idx][1] -= 1
+
+
+@pytest.mark.parametrize("k", [1, -1])
+def test_candidate_probe_asks_both_traces_for_their_points(k):
+    # the k = -1 probe points are taken from the k = +1 ones: each of the
+    # points one step in from either end of either trace, built directly,
+    # is asked for, so a residual without it has no candidate
+    a, b, w = 2.0, 1.0, ZeroWindow(0, 20.0)
+    trace = RealMultiset.from_values(class_trace(a, b, (1, -1), w))
+    r = _n_range(a, b, k, w.im_bound)
+    c = trace.min_positive()[0]
+    ctx = _SearchCtx(w=w, tol=1e-9, band=1e-9 * w.im_bound)
+    assert len(_candidates(trace, [[a, 1]], c, 0, ctx)) == 1
+    for n in (r[1], r[-2]):
+        missing = trace.subtract([((-b * k - TWO_PI * n) / a, 1)], 0.0)
+        assert _candidates(missing, [[a, 1]], c, 0, ctx) == []
 
 
 def with_audit(cur, lengths, w, tol):

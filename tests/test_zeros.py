@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lhspec import (
@@ -329,6 +329,65 @@ def test_zero_multiset_counts_its_points_before_the_loop(monkeypatch):
     # a window past the float range is named as such, before any class's loop
     with pytest.raises(DomainError, match="no finite n-range for class \\(1e\\+308"):
         zero_multiset(Spectrum([(1.0, 0.5, 1), (1e308, 0.5, 1)]), 0, ZeroWindow(10**6, 10.0))
+
+
+def _hex(parts):
+    return [x.hex() for x in zeros._joined(parts).tolist()]
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(1e-3, 1e3),
+            st.sampled_from([0.0, math.pi])
+            | st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True),
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from([(1, -1), (-1, 0, 1), (0,), (-1,), (1, 1, -1), (-2, -1, 0, 1, 2)])
+    | st.lists(st.integers(-2, 2), max_size=4),
+    st.sampled_from([0, 1]),
+    st.floats(0.1, 100.0),
+    st.none() | st.tuples(st.integers(-2, 2), st.integers(-40, 40)),
+)
+@settings(max_examples=400, deadline=None)
+def test_mirrored_traces_equal_the_direct_build(classes, ks, pad, im_bound, edge):
+    # edge: a window whose bound is exactly one point (-b*k - 2*n*pi)/a of the first class
+    if edge is not None:
+        (a, b), (k, n) = classes[0], edge
+        im_bound = abs((-b * k - TWO_PI * n) / a) or im_bound
+    assume(im_bound * sum(a for a, _ in classes) < 1e5)  # rows of about im_bound * a / pi points
+    rows = [(a, b, k) for a, b in classes for k in ks]
+    want = zeros._progressions(rows, im_bound, pad)
+    got = zeros._traces(classes, ks, im_bound, pad)
+    assert [p.size for p in got] == [p.size for p in want]
+    assert _hex(got) == _hex(want)
+
+
+def test_mirrored_traces_build_rows_past_2_53_directly():
+    # here n is about 1.5e16, past the exact integers of float64: the k = -1
+    # row negated would not be the k = +1 row reversed, so it is built itself
+    a, b, im_bound = 1.3498382261231665, 9.588272061157066e16, 23.02506217464817
+    plus, minus = zeros._progressions([(a, b, 1), (a, b, -1)], im_bound, 1)
+    assert _hex([-plus[::-1]]) != _hex([minus])
+    assert _hex(zeros._traces([(a, b)], (1, -1), im_bound, 1)) == _hex([plus, minus])
+    inside = zeros._joined([minus[1:-1], plus[1:-1]]).tolist()
+    assert class_trace(a, b, (-1, 1), ZeroWindow(0, im_bound)) == inside
+
+
+def test_point_cap_counts_both_sides_of_a_ratio_round(monkeypatch):
+    # the padded k = +1 and k = -1 rows of two classes, each counted from its own n-range
+    w = ZeroWindow(0, 10.0)
+    rows = [(1.0, 0.5, 1), (2.0, 1.3, 1)]
+    count = sum(len(zeros._n_range(a, b, k, w.im_bound)) + 2 for a, b, _ in rows for k in (1, -1))
+    ms = RealMultiset.from_values(class_trace(1.0, 0.5, (1, -1), w) + class_trace(2.0, 1.3, (1, -1), w))
+    monkeypatch.setattr(zeros, "_POINT_CAP", count)
+    with pytest.raises(DomainError, match="point cap"):
+        zeros._subtract_traces(ms, rows, (1, -1), w, 1e-9)
+    assert zeros._subtract_traces(ms, rows, (1, -1), w, 1e-9, True) is None
+    monkeypatch.setattr(zeros, "_POINT_CAP", count + 1)
+    assert zeros._subtract_traces(ms, rows, (1, -1), w, 1e-9).total() == 0
 
 
 def test_strip_k0_mismatched_lengths_underflows():

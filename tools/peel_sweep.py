@@ -26,6 +26,12 @@ A third of the cases perturb both zero lines: each entry is, with
 probability 0.03, dropped by one copy, doubled or moved within the
 tolerance.  The lengths that ``strip_k0`` and ``recover_ratios`` take are
 the recovered ones, or the spectrum's own where length peeling failed.
+
+``lines_sha256`` hashes what the peeling starts from: the two exact zero
+lines of each case (m = 0 and m = 1) and the ``class_trace`` of each of
+its classes over ks (1, -1) and (-1, 0, 1), each value as ``float.hex``
+(so that -0.0 and 0.0 differ) and each zero-line value with its count.
+``sha256`` hashes the peeling outcomes alone, as it always has.
 """
 
 from __future__ import annotations
@@ -110,13 +116,14 @@ def main(argv=None) -> dict:
         RealMultiset,
         Spectrum,
         ZeroWindow,
+        class_trace,
         recover_lengths,
         recover_ratios,
         strip_k0,
         zero_line,
     )
 
-    digest = hashlib.sha256()
+    digest, lines = hashlib.sha256(), hashlib.sha256()
     outcomes = Counter()
     steps = Counter()
 
@@ -145,6 +152,11 @@ def main(argv=None) -> dict:
         spec = Spectrum(c["rows"])
         w, tol = ZeroWindow(0, c["im_bound"]), c["tol"]
         m0, m1 = zero_line(spec, 0, w), zero_line(spec, 1, w)
+        for ms in (m0, m1):
+            lines.update(" ".join(f"{v.hex()}:{m}" for v, m in ms.entries).encode() + b"\n")
+        for a, b, _ in c["rows"]:
+            for ks in ((1, -1), (-1, 0, 1)):
+                lines.update(" ".join(map(float.hex, class_trace(a, b, ks, w))).encode() + b"\n")
         if c["perturb"]:
             rng = np.random.default_rng(c["seed"])
             m0, m1 = (_perturbed(ms, tol, rng, RealMultiset) for ms in (m0, m1))
@@ -157,6 +169,7 @@ def main(argv=None) -> dict:
         "cases": args.cases,
         "seed": args.seed,
         "sha256": digest.hexdigest(),
+        "lines_sha256": lines.hexdigest(),
         "audit_records": dict(sorted(steps.items())),
         "outcomes": dict(sorted(outcomes.items())),
     }
