@@ -185,7 +185,8 @@ def spectrum_difference(
 def group_residual(g) -> float:
     """Max entrywise residual of g^T J g = J."""
     m = np.asarray(g, dtype=float)
-    return float(np.max(np.abs(m.T @ J @ m - J)))
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan past the float range
+        return float(np.max(np.abs(m.T @ J @ m - J)))
 
 
 def in_group(g, tol: float = 1e-12) -> bool:
@@ -199,11 +200,14 @@ def in_group(g, tol: float = 1e-12) -> bool:
     if m.shape != (4, 4) or not np.all(np.isfinite(m)):
         return False
     scale = max(1.0, float(np.max(np.abs(m))))
-    if group_residual(m) > tol * scale**2:
+    # a product, not scale**2, which raises OverflowError; where the entries
+    # square past the float range, so does the residual, and nothing is shown
+    scale2 = scale * scale
+    if not math.isfinite(scale2) or group_residual(m) > tol * scale2:
         return False
-    if abs(float(np.linalg.det(m)) - 1.0) > tol * scale**4:
+    if abs(float(np.linalg.det(m)) - 1.0) > tol * scale2 * scale2:
         return False
-    return m[3, 3] >= 1.0 - tol * scale**2
+    return m[3, 3] >= 1.0 - tol * scale2
 
 
 def classify(g, tol: float = 1e-12) -> tuple[float, float]:

@@ -176,7 +176,8 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     """
     tau_m = _whole(tau, "twist index", 0)
     per_class = (2 * tau_m + 1) * (w.max_m + 1) * (w.max_m + 2) // 2
-    widths = w.im_bound * diff._lengths / math.pi + 1.0
+    with np.errstate(over="ignore"):
+        widths = w.im_bound * diff._lengths / math.pi + 1.0
     if not np.isfinite(widths).all():  # im_bound * a overflows: no n-range, as _n_range says
         c = int(np.flatnonzero(~np.isfinite(widths))[0])
         _n_range(diff._lengths.item(c), diff._holonomies.item(c), 0, w.im_bound)

@@ -24,9 +24,13 @@ below a fixed share of the largest row's, take the exact sum S of the
 rest, and round S minus and plus the bound on what was left out: when
 both give the same float, it is the correctly rounded sum of every term,
 so values equal math.fsum of every term bit for bit.  Otherwise every term
-is summed (see _euler_sum).  The full product converges for Re(s) > 2;
-the truncated one is defined wherever no factor vanishes, with a
-ConvergenceWarning outside the half-plane.
+is summed (see _euler_sum).  Kept factors within 2**-30 of 1 (whose real
+part is not exactly 1) take their logs from the series z - z**2/2 of
+z = f - 1, whose distance from np.log is bounded and added to the slack;
+where that wider slack cannot certify a sum, they take np.log after all.
+The full product converges for Re(s) > 2; the truncated one is defined
+wherever no factor vanishes, with a ConvergenceWarning outside the
+half-plane.
 """
 
 from __future__ import annotations
@@ -121,10 +125,10 @@ def _warn_halfplane(s: complex, stacklevel: int = 3) -> None:
 # factors of one Euler-product grid
 _SPLIT = 26
 _MAX_TERMS = 2**_SPLIT
-# below this magnitude fewer than 2**26 terms sum to less than 2**995, so
-# neither fsum (which can raise OverflowError on an intermediate sum) nor
-# the final rounding overflows
-_BIG = 2.0**969
+# below 2**969, where a term's frexp exponent is at most 969, fewer than
+# 2**26 terms sum to less than 2**995, so neither fsum (which can raise
+# OverflowError on an intermediate sum) nor the final rounding overflows
+_BIG_EXP = 969
 # frexp exponents start at -1073 (the smallest subnormal); shifted to be >= 0
 _EXP_OFFSET = 1074
 # bit positions per int64 limb, and limbs per int.from_bytes call: limbs
@@ -149,31 +153,38 @@ def _scaled_sum(x: np.ndarray) -> int | None:
     bits apart; biased by 2**63 into [0, 2**64) they are the digits of one
     int.from_bytes, which takes the bias back off.  The eight results are
     shifted together into one Python int.  None for non-finite or huge
-    terms and for 2**26 terms or more, whose sum fsum decides.
+    terms and for 2**26 terms or more, whose sum fsum decides: a term of
+    2**969 or more fills a bucket past exponent ``_BIG_EXP``, and an
+    infinite or nan term has a nan low half.
     """
     x = x.ravel()
-    if x.size >= _MAX_TERMS or not np.abs(x).max(initial=0.0) < _BIG:  # also NaN
+    if x.size >= _MAX_TERMS:
         return None
     q, exp = np.frexp(x)
-    q *= 2.0**53
-    hi = q * 2.0**-_SPLIT
-    np.floor(hi, out=hi)
-    lo = hi * 2.0**_SPLIT
-    np.subtract(q, lo, out=lo)  # in [0, 2**26), also for negative q
-    exp += _EXP_OFFSET
-    hi_sums = np.bincount(exp, weights=hi)
-    lo_sums = np.bincount(exp, weights=lo)
+    q *= 2.0 ** (53 - _SPLIT)
+    hi = np.floor(q)
+    with np.errstate(invalid="ignore"):  # inf - inf for an infinite term
+        q -= hi
+    q *= 2.0**_SPLIT  # the low half, in [0, 2**26), also for negative terms
+    exp = np.add(exp, _EXP_OFFSET, dtype=np.intp)
+    lo_sums = np.bincount(exp, weights=q)
     n = lo_sums.size
+    if n > _EXP_OFFSET + _BIG_EXP + 1 or not math.isfinite(lo_sums.sum()):
+        return None
+    hi_sums = np.bincount(exp, weights=hi)
     # bit positions for a whole number of limbs of each residue mod _LIMB
     w = np.zeros(-(-(n + _SPLIT) // _LIMB**2) * _LIMB**2, dtype=np.int64)
     w[:n] = lo_sums.astype(np.int64)
     w[_SPLIT : n + _SPLIT] += hi_sums.astype(np.int64)
-    limbs = (w.reshape(-1, _LIMB) << np.arange(_LIMB)).sum(axis=1)
-    digits = (limbs.view(np.uint64) + np.uint64(2**63)).astype("<u8", copy=False)
-    bias = int.from_bytes((2**63).to_bytes(8, "little") * (limbs.size // _LIMB), "little")
+    limbs = (w.reshape(-1, _LIMB) << np.arange(_LIMB)).sum(axis=1).view(np.uint64)
+    limbs += np.uint64(2**63)
+    # the limbs of each residue mod _LIMB in turn, as little-endian digits
+    digits = memoryview(limbs.reshape(-1, _LIMB).T.astype("<u8").tobytes())
+    size = len(digits) // _LIMB
+    bias = int.from_bytes((2**63).to_bytes(8, "little") * (size // 8), "little")
     total = 0
     for r in range(_LIMB):
-        total += (int.from_bytes(digits[r::_LIMB].tobytes(), "little") - bias) << (_LIMB * r)
+        total += (int.from_bytes(digits[r * size : (r + 1) * size], "little") - bias) << (_LIMB * r)
     return total
 
 
@@ -191,20 +202,24 @@ def _exact_sum(x: np.ndarray) -> float:
     return total / (1 << _SCALE_BITS)
 
 
-def _certified_sum(kept: np.ndarray, slack: float) -> float | None:
-    """The correctly rounded sum of the kept terms and of others of total size at most slack.
+def _certified_sum(total: int | None, slack: float) -> float | None:
+    """The correctly rounded sum of kept terms and of others of total size at most slack.
 
-    With S the exact sum of the kept terms, the full sum lies in
-    [S - slack, S + slack], and rounding is monotone: when both ends round
-    to the same float, the full sum rounds to it, as fsum of every term
-    does.  That float is not zero, whose sign fsum would decide: S is a
-    nonzero multiple of 2**-1074, so the ends cannot both round to zero.
-    None when the ends differ, and where ``_scaled_sum`` leaves the sum to
-    fsum or finds an exact zero.
+    ``total`` is the exact sum S of the kept terms times 2**1127, from
+    ``_scaled_sum``.  The full sum lies in [S - slack, S + slack], and
+    rounding is monotone: when both ends round to the same float, the full
+    sum rounds to it, as fsum of every term does.  That float is not zero,
+    whose sign fsum would decide: S is a nonzero multiple of 2**-1074, so
+    the ends cannot both round to zero.  A slack of 0.0 says that every
+    other term is +0.0, and there is at least one: then an exact-zero S is
+    a sum of +0.0 and of terms that cancel, which fsum gives as 0.0.  None
+    when the ends differ, when total is None (``_scaled_sum`` leaves the
+    sum to fsum), and for an exact-zero S with a slack above 0.0.
     """
-    total = _scaled_sum(kept)
-    if not total:
+    if total is None:
         return None
+    if not total:
+        return 0.0 if slack == 0.0 else None
     num, den = slack.as_integer_ratio()
     width = -(-(num << _SCALE_BITS) // den)  # slack * 2**1127, rounded up
     low, high = (total - width) / (1 << _SCALE_BITS), (total + width) / (1 << _SCALE_BITS)
@@ -212,8 +227,19 @@ def _certified_sum(kept: np.ndarray, slack: float) -> float | None:
 
 
 def _factor(em, damp, sin2, sn):
-    # 1 - exp(-X) from the parts of X: the one float expression of every local factor
-    return (em + (damp * 2.0) * sin2) + 1j * (damp * sn)
+    # 1 - exp(-X) from the parts of X: the one float expression of every local
+    # factor, (em + (damp * 2.0) * sin2) + 1j * (damp * sn), built part by part,
+    # as numpy's complex casts are slow: with y = damp * sn, the product 1j * y
+    # is (0.0 * y - 0.0) + (0.0 + y)j, so the real part gains 0.0 * y (nan where
+    # y is not finite) and the imaginary part is y + 0.0 (+0.0 for -0.0)
+    y = damp * sn
+    re = (damp * 2.0) * sin2
+    np.add(em, re, out=re)
+    re += y * 0.0
+    y += 0.0
+    f = np.empty(re.shape, dtype=complex)
+    f.real, f.imag = re, y
+    return f
 
 
 class _Grid(NamedTuple):
@@ -253,17 +279,36 @@ class _Grid(NamedTuple):
             self._vanishes(*np.argwhere(grid == 0)[0].tolist())
         return grid
 
-    def factors(self, lead: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The factors with m1 + m2 < lead[c] of each class c, and the class of each point.
+    def factors(
+        self, lead: np.ndarray, near: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """The factors with m1 + m2 < lead[c] of each class c, the class of each, and a block size.
 
-        A (k, lattice point) array, its points in (class, m1, m2) order.
-        Raises FactorZero at the first zero among them in (class, k, m1, m2)
-        order.
+        A (k, lattice point) array in two blocks: first the points of the
+        rows (c, m1 + m2) that ``near`` leaves False, then those of the rows
+        that it marks (kept rows only); the size of the first block is
+        returned.  Within a block the order of the points is left open, as
+        the sums are exact.  Raises FactorZero at the first zero among them
+        in (class, k, m1, m2) order.
         """
-        side = np.arange(self.max_m + 1)
-        c, m1, m2 = np.nonzero(np.add.outer(side, side) < lead[:, None, None])
-        row = c * (2 * self.max_m + 1)
-        n, d = row + m1 + m2, row + self.max_m + m1 - m2  # flat (class, n) and (class, d)
+        m = self.max_m
+        # the (class, m1 + m2) rows of each block, in C order
+        below = (np.arange(2 * m + 1) < lead[:, None])[None]
+        if near is not None:
+            below = np.concatenate((below ^ near, near[None]))
+        block, rc, rn = np.nonzero(below)
+        # row n holds the points m1 = low, low + 1, ... with low = max(n - m, 0), so
+        # that d = m + m1 - m2 runs from |n - m| by 2
+        gap = np.abs(rn - m)
+        size = (m + 1) - gap
+        end = np.cumsum(size)
+        row = rc * (2 * m + 1)
+        c = np.repeat(rc, size)
+        n = np.repeat(row + rn, size)  # flat (class, n)
+        # flat (class, d): the row's first d, less twice the row's start in
+        # the gather, plus twice the point's index in it
+        d = np.repeat(row + gap + 2 * (size - end), size)
+        d += np.arange(0, 2 * c.size, 2)
         ks = 2 * self.tau_m + 1
         f = _factor(
             self.em.ravel().take(n),
@@ -273,8 +318,12 @@ class _Grid(NamedTuple):
         )
         if not f.all():
             j, q = np.nonzero(f == 0)
-            self._vanishes(*min(zip(c[q].tolist(), j.tolist(), m1[q].tolist(), m2[q].tolist())))
-        return f, c
+            base = c.take(q) * (2 * m + 1)
+            total, diff = n.take(q) - base, d.take(q) - base - m  # m1 + m2 and m1 - m2
+            m1, m2 = (total + diff) // 2, (total - diff) // 2
+            self._vanishes(*min(zip(c[q].tolist(), j.tolist(), m1.tolist(), m2.tolist())))
+        k = np.searchsorted(block, 1)
+        return f, c, int(end[k - 1]) if k else 0
 
     def _vanishes(self, c: int, j: int, m1: int, m2: int):
         raise FactorZero(
@@ -302,9 +351,12 @@ def _grid(spec: Spectrum, tau, s: complex, tr) -> _Grid:
     d = np.arange(-max_m, max_m + 1, dtype=float)  # m1 - m2
     k = np.arange(-tau_m, tau_m + 1, dtype=float)[:, None, None]
     x_re = n * a + s.real * a
-    x_im = k * b + d * b + s.imag * a
     damp, em = np.exp(-x_re), -np.expm1(-x_re)
-    return _Grid(spec, s, tau_m, max_m, damp, em, np.sin(x_im / 2.0) ** 2, np.sin(x_im))
+    # a phase past the float range is inf and its sines nan, which keep every
+    # row of the class (see _kept_rows) and end in DomainError or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_im = k * b + d * b + s.imag * a
+        return _Grid(spec, s, tau_m, max_m, damp, em, np.sin(x_im / 2.0) ** 2, np.sin(x_im))
 
 
 #: a (class, m1+m2) row of factors is left out of a sum when its bound is
@@ -312,6 +364,12 @@ def _grid(spec: Spectrum, tau, s: complex, tr) -> _Grid:
 _CUT = 2.0**-76
 #: and when its exp(-Re X) is at most this, so that its factors round to 1 + i*y
 _SKIP_DAMP = 2.0**-54
+#: a kept row whose bound is at most this share of min(1, the largest row
+#: bound) takes its logs from the series z - z**2/2 of z = f - 1, which is
+#: within this times |Re z| + |z|**2 of np.log(f) in the real part and times
+#: |Im z| in the imaginary part (see _euler_sum)
+_NEAR = 2.0**-30
+_SERIES_ERR = 2.0**-44
 
 
 def _row_bounds(grid: _Grid, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -335,7 +393,7 @@ def _kept_rows(grid: _Grid, bound: np.ndarray) -> np.ndarray:
     return np.where(skip, 0, rows + 1).max(axis=1, initial=0)
 
 
-def _euler_sum(grid: _Grid, weights: np.ndarray, terms) -> complex:
+def _euler_sum(grid: _Grid, weights: np.ndarray, terms, series=None, zero_re=False) -> complex:
     """The sum of the terms of every factor of the grid, from the factors that can move it.
 
     ``terms(f, w)`` gives the real and imaginary term arrays of factors f
@@ -355,7 +413,9 @@ def _euler_sum(grid: _Grid, weights: np.ndarray, terms) -> complex:
     So a term, w times such a value, is at most w * damp**2 in its real
     part and w * damp, the row bound, in its imaginary part.  A left-out
     term is taken at 8 times these, which leaves room for the rounding of
-    the log, the division and the products.
+    the log, the division and the products.  With ``zero_re`` (the terms
+    w * (1/f - 1)), the real part of a left-out term is exactly 1.0 - 1.0
+    times w > 0, which is +0.0, and that part's slack is 0.0.
 
     Left out are a class's rows after its last row that reaches ``_CUT``
     times the largest row bound or fails a condition above: as damp falls
@@ -367,6 +427,26 @@ def _euler_sum(grid: _Grid, weights: np.ndarray, terms) -> complex:
     part from the kept factors and that slack.  Where it cannot, and where
     nothing is left out (every row is kept, or the largest bound is not
     finite), every term is summed.
+
+    ``series(f, w, e)``, where given, gives the terms of factors f whose
+    columns from e on are near rows, and for each part a bound err on how
+    far the exact sum of its terms lies from that of ``terms``.  The near
+    rows are the kept rows whose bound is at most ``_NEAR`` times min(top,
+    1), with top the largest row bound, and whose em is below 1.0 (where
+    em == 1.0 a factor is 1 + i*y, whose np.log is about as fast as any
+    series).  There |z| = |f - 1| <= damp <= 2**-30, as the weights are at
+    least 1, and z is exact (Sterbenz).  For logs, z - z**2/2 is within
+    |Im z| * |z|**2 of log(1 + z) in its imaginary part and within |z|**3
+    in its real part, and it rounds within about 2**-51 times |Im z| and
+    times |Re z| + |z|**2; glibc's complex log is within a few ulps, so
+    the two differ by less than 2**-44 times these.  err is that times the
+    weights, summed, and raised by 2**-20 of itself and by 2**-1000 per
+    factor and unit of weight for terms that underflow.  A part is
+    certified from these terms with its slack plus err.  Where that fails,
+    and unless even slack - err reaches a rounding boundary (then slack
+    does for the terms of np.log, within err), the near rows take
+    ``terms`` and the part is certified again with its own slack.  So
+    every term is summed exactly where it would be without near rows.
     """
     bounds = _row_bounds(grid, weights)
     lead = _kept_rows(grid, bounds[1])
@@ -380,9 +460,34 @@ def _euler_sum(grid: _Grid, weights: np.ndarray, terms) -> complex:
             8.0 * float(np.sum(part * per_row, where=left)) * (1.0 + 2.0**-20) + spare
             for part in bounds
         ]
-        factors, classes = grid.factors(lead)
-        parts = terms(factors, weights[classes])
-        sums = [_certified_sum(*pair) for pair in zip(parts, slacks)]
+        if zero_re:
+            slacks[0] = 0.0
+        near = None
+        if series is not None:  # kept rows, as left-out rows have em == 1.0
+            near = (bounds[1] <= _NEAR * min(float(bounds[1].max()), 1.0)) & (grid.em < 1.0)
+            if not near.any():
+                near = None
+        factors, classes, e = grid.factors(lead, near)
+        w = weights[classes]
+        if e == factors.shape[1]:  # no near rows
+            parts = terms(factors, w)
+            sums = [_certified_sum(_scaled_sum(part), slack) for part, slack in zip(parts, slacks)]
+        else:
+            *parts, errs = series(factors, w, e)
+            exact = None
+            for j, (part, slack, err) in enumerate(zip(parts, slacks, errs)):
+                total = _scaled_sum(part)
+                sums[j] = _certified_sum(total, slack + err)
+                if sums[j] is not None:
+                    continue
+                # the exact logs sum to within err of total: where even slack - err
+                # reaches a rounding boundary, slack does for them, and every term is summed
+                if total and err < slack and _certified_sum(total, slack - err) is None:
+                    continue
+                if exact is None:
+                    exact = terms(factors[:, e:], w[e:])
+                part[:, e:] = exact[j]
+                sums[j] = _certified_sum(_scaled_sum(part), slack)
     if None in sums:
         every = terms(grid.every(), weights[:, None, None, None])
         sums = [_exact_sum(t) if v is None else v for v, t in zip(sums, every)]
@@ -394,11 +499,28 @@ def _log_terms(f: np.ndarray, mult) -> tuple[np.ndarray, np.ndarray]:
     return mult * logs.real, mult * logs.imag
 
 
+def _log_series(f: np.ndarray, mult, e: int) -> tuple[np.ndarray, np.ndarray, tuple[float, float]]:
+    # the terms of np.log of the factors before column e and of the series
+    # z - z**2/2 of z = f - 1 from it on, with the bound err of each part (see _euler_sum)
+    logs = np.empty_like(f)
+    np.log(f[:, :e], out=logs[:, :e])
+    z = np.subtract(f[:, e:], 1.0, out=logs[:, e:])  # exact (Sterbenz)
+    r, i, w = z.real, z.imag, mult[e:]
+    re_size = r * r + i * i + np.abs(r)  # |Re z| + |z|**2
+    sizes = float((re_size @ w).sum()), float((np.abs(i) @ w).sum())
+    spare = (float(w.sum()) * z.shape[0] + z.size) * 2.0**-1000
+    z -= 0.5 * (z * z)
+    errs = tuple(_SERIES_ERR * x * (1.0 + 2.0**-20) + spare for x in sizes)
+    return mult * logs.real, mult * logs.imag, errs
+
+
 def _psi_terms(f: np.ndarray, weight) -> tuple[np.ndarray, np.ndarray]:
-    # in place, so that one array is held, with the operands of weight * (1.0 / f - 1.0)
-    np.divide(1.0, f, out=f)
-    f -= 1.0
-    np.multiply(weight, f, out=f)
+    # in place, so that one array is held, with the operands of weight * (1.0 / f - 1.0);
+    # a quotient past the float range is inf or nan, and log_derivative refuses the sum
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.divide(1.0, f, out=f)
+        f -= 1.0
+        np.multiply(weight, f, out=f)
     return f.real, f.imag
 
 
@@ -411,7 +533,7 @@ def zeta_tau(spec: Spectrum, tau, s: complex, tr) -> complex:
     log-factors.  Raises FactorZero if s is a zero of some local factor and
     DomainError when the value is past the float range.
     """
-    log = _euler_sum(_grid(spec, tau, s, tr), spec._counts, _log_terms)
+    log = _euler_sum(_grid(spec, tau, s, tr), spec._counts, _log_terms, _log_series)
     with np.errstate(over="ignore", invalid="ignore"):
         value = complex(np.exp(log))
     if not cmath.isfinite(value):
@@ -428,7 +550,7 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     sum is not finite (where exp(-X) itself is past the float range).
     """
     weights = spec._counts * spec._lengths
-    value = _euler_sum(_grid(spec, tau, s, tr), weights, _psi_terms)
+    value = _euler_sum(_grid(spec, tau, s, tr), weights, _psi_terms, zero_re=True)
     if not cmath.isfinite(value):
         raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
     return value

@@ -254,6 +254,21 @@ def test_cli_matrix_parse_errors(command, body, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("entry", ["2e154", "1e230", "Infinity"])
+def test_classify_matrix_past_the_float_range_is_not_in_group(entry, tmp_path, capsys):
+    # the entries square past the float range, or are not finite, so the
+    # residual of g^T J g = J is too: one not_in_group document, with no
+    # traceback and no warning
+    path = tmp_path / "g.json"
+    path.write_text(f"[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, {entry}], [0, 0, 0, 1]]")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["classify", str(path)])
+    out, err = capsys.readouterr()
+    assert (code, err, caught) == (1, "", [])
+    assert json.loads(out)["error"]["code"] == "not_in_group"
+
+
 @pytest.mark.parametrize("command", ["zeta", "psi", "zeros"])
 def test_cli_tol_only_where_read(command, capsys):
     argv = [command, str(DATA / "small.csv"), "--tol", "1"]

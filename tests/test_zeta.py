@@ -3,11 +3,12 @@
 import cmath
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lhspec import (
@@ -352,6 +353,15 @@ def test_exact_sum_matches_fsum(xs):
     _check_exact_sum(xs)
 
 
+def test_scaled_sum_leaves_huge_and_non_finite_terms_to_fsum():
+    # the exact sum gives up on a term of 2**969 or more, or one that is not
+    # finite, and fsum decides; just below 2**969 it sums
+    below = math.nextafter(2.0**969, 0.0)
+    assert zeta_module._scaled_sum(np.array([below, 1.0, -below])) == 2**zeta_module._SCALE_BITS
+    for bad in (2.0**969, -(2.0**969), math.inf, -math.inf, math.nan):
+        assert zeta_module._scaled_sum(np.array([1.0, bad])) is None
+
+
 # terms at the int64 bounds of the limb finish: the top mantissa at the
 # highest exponent below the fsum fallback, one term in every exponent
 # bucket, and a total that cancels to zero
@@ -463,9 +473,17 @@ def test_rows_of_a_class_with_an_infinite_phase_are_kept():
         log_derivative(spec, 1, s, 30)
 
 
+def _points(f, classes):
+    # the columns of a (k, point) factor array with their classes, as rows of
+    # uint64 bits in sorted order, so that gathers in any order compare equal
+    cols = np.column_stack((classes.astype(np.uint64), f.T.copy().view(np.uint64)))
+    return cols[np.lexsort(cols.T[::-1])]
+
+
 # a left-out row holds factors 1 + i*y, |y| <= damp, so each of its terms is
 # within 8 times its row bound, w * damp**2 (real part) and w * damp
-# (imaginary part); the gathered factors are those of the full grid
+# (imaginary part); the gathered factors are those of the full grid, in
+# either block, and the second block holds those of the rows marked near
 @given(
     class_rows,
     st.integers(0, 2),
@@ -491,11 +509,24 @@ def test_left_out_terms_lie_within_their_bounds(rows, tau_m, s, max_m):
     ):
         re_bound, im_bound = _row_bounds(grid, weights)
         lead = _kept_rows(grid, im_bound)
-        factors, classes = grid.factors(lead)
         kept = n < lead[:, None, None]  # (class, m1, m2)
-        want = np.ascontiguousarray(every.transpose(1, 0, 2, 3)[:, kept])
-        assert np.array_equal(factors.view(np.uint64), want.view(np.uint64))
-        assert np.array_equal(classes, np.nonzero(kept)[0])
+        grid_points = every.transpose(1, 0, 2, 3)  # (k, class, m1, m2)
+        c = np.nonzero(kept)[0]
+        factors, classes, size = grid.factors(lead)
+        assert size == factors.shape[1]
+        assert np.array_equal(_points(factors, classes), _points(grid_points[:, kept], c))
+        near = (np.arange(2 * max_m + 1) % 2 == 1) & (np.arange(2 * max_m + 1) < lead[:, None])
+        factors, classes, size = grid.factors(lead, near)
+        marked = kept & near[:, n]
+        first = kept & ~marked
+        assert np.array_equal(
+            _points(factors[:, :size], classes[:size]),
+            _points(grid_points[:, first], np.nonzero(first)[0]),
+        )
+        assert np.array_equal(
+            _points(factors[:, size:], classes[size:]),
+            _points(grid_points[:, marked], np.nonzero(marked)[0]),
+        )
         re, im = terms(every.copy(), weights[:, None, None, None])
         left = ~kept[:, None]  # (class, k, m1, m2)
         assert np.all((np.abs(re) <= 8 * re_bound[:, n][:, None]) | ~left)
@@ -518,6 +549,187 @@ def test_kept_rows_hold_every_row_that_fails_a_premise():
     em[:, 3] = 1.0
     damp[:, 4] = 2.0**-53
     assert _kept_rows(grid, damp).tolist() == [5, 6]
+
+
+def _value(f, *args):
+    # a value as float.hex of both parts, or the typed error
+    try:
+        v = f(*args)
+    except (FactorZero, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+# a sweep case whose series certification fails and whose exact logs then
+# certify, and one where even slack - err reaches a rounding boundary, so that
+# every term is summed as without near rows
+RETRIED = (
+    [
+        (1.9334842853651435, 5.637762460837776, 2),
+        (2.124838930937864, 5.376897726851463, 3),
+        (3.0207574110098028, 2.3148787573135396, 1),
+        (2.584258878829674, 4.9230952469557545, 3),
+        (1.6939890619599685, 3.3083917311929265, 2),
+        (1.66204417074268, 4.669168878213738, 3),
+    ],
+    2,
+    3.0821422057557246 + 0.699793586354513j,
+    32,
+)
+FELL_BACK = (
+    [
+        (0.9857095949595849, 1.589662482685131, 2),
+        (4.852966644911794, 3.4435004929915176, 1),
+        (3.9804824117347195, 0.2388652110444625, 3),
+        (4.741086854718861, 0.9769308649829797, 3),
+        (4.376790785694631, 4.404410076549769, 2),
+    ],
+    0,
+    -1 + 0j,
+    20,
+)
+
+
+# the series logs of the near rows move no value: with _NEAR = 0 no row is
+# near, and zeta_tau gives the same floats and the same errors
+@given(
+    class_rows,
+    st.integers(0, 2),
+    st.builds(complex, st.floats(-1.0, 60.0), st.floats(-6.0, 6.0)),
+    st.integers(0, 40),
+)
+@example(*RETRIED)
+@example(*FELL_BACK)
+@example([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30)
+@example([(1.0, 0.5, 1), (2.0, 0.0, 1)], 1, -2 + 0j, 30)  # FactorZero
+@settings(max_examples=150, deadline=None)
+def test_near_rows_move_no_value(rows, tau_m, s, max_m):
+    spec = Spectrum(rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        got = _value(zeta_tau, spec, tau_m, s, max_m)
+        with mock.patch.object(zeta_module, "_NEAR", 0.0):
+            want = _value(zeta_tau, spec, tau_m, s, max_m)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        RETRIED,
+        FELL_BACK,
+        ([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30),
+        ([(1.0, 0.5, 1)], 0, 3 + 0.25j, 30),
+    ],
+)
+def test_a_failed_series_certification_retries_with_the_exact_logs(case):
+    # with a huge error factor the series never certifies and err exceeds the
+    # slack, so every near block takes np.log and is certified again: the values
+    # are those with no near rows, and every term is summed no more often
+    spec, tau_m, s, max_m = Spectrum(case[0]), *case[1:]
+    every = mock.patch.object(
+        zeta_module._Grid, "every", autospec=True, side_effect=zeta_module._Grid.every
+    )
+    series = mock.Mock(wraps=zeta_module._log_series)
+    exact = mock.Mock(wraps=zeta_module._log_terms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        with every as off, mock.patch.object(zeta_module, "_NEAR", 0.0):
+            want = _value(zeta_tau, spec, tau_m, s, max_m)
+        with every as forced, mock.patch.object(zeta_module, "_SERIES_ERR", 2.0**60):
+            with mock.patch.object(zeta_module, "_log_series", series):
+                with mock.patch.object(zeta_module, "_log_terms", exact):
+                    got = _value(zeta_tau, spec, tau_m, s, max_m)
+    assert got == want
+    assert series.call_count == 1
+    assert exact.call_count >= 1  # the near block's exact logs
+    assert forced.call_count <= off.call_count
+
+
+def test_a_series_certification_that_cannot_hold_for_np_log_sums_every_term():
+    # in FELL_BACK one part fails even with slack - err, so with the terms of
+    # np.log, within err, it fails with its slack too: the near block takes
+    # no np.log, and every term is summed at once
+    spec, tau_m, s, max_m = Spectrum(FELL_BACK[0]), *FELL_BACK[1:]
+    exact = mock.Mock(wraps=zeta_module._log_terms)
+    with warnings.catch_warnings(), mock.patch.object(zeta_module, "_log_terms", exact):
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        got = _value(zeta_tau, spec, tau_m, s, max_m)
+    assert exact.call_count == 1 and exact.call_args.args[0].ndim == 4  # the full grid
+    with mock.patch.object(zeta_module, "_NEAR", 0.0):
+        assert got == _value(zeta_tau, spec, tau_m, s, max_m)
+
+
+def _one_minus_exp(re_x, im_x):
+    # the factors 1 - exp(-X) as the grid builds them
+    damp = np.exp(-re_x)
+    return zeta_module._factor(-np.expm1(-re_x), damp, np.sin(im_x / 2.0) ** 2, np.sin(im_x))
+
+
+# factors within 2**-30 of 1, their damp over every binade from 2**-30 down
+# past the subnormals: the series differs from np.log by less than 2**-44 *
+# (|Re z| + |Im z|) in each part, and in fact by less than 2**-44 * (|Re z| +
+# |z|**2) in the real part and 2**-44 * |Im z| in the imaginary part, and the
+# exact sums of the weighted terms differ by at most the err that
+# _log_series reports
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(30 * math.log(2.0), 750.0),
+            st.floats(-50.0, 50.0)
+            | st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, 1e-300])
+            | st.builds(
+                lambda k, eps: k * math.pi / 2 + eps, st.integers(-8, 8), st.floats(-1e-9, 1e-9)
+            ),
+            st.integers(1, 5),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+@example([(21.0, math.pi / 3, 1), (37.5, 1.0, 2), (37.3, 0.0, 3), (744.0, 0.5, 1)])
+@settings(max_examples=300, deadline=None)
+def test_series_log_lies_within_its_bound(points):
+    re_x, im_x, w = (np.array(v, dtype=float) for v in zip(*points))
+    f = _one_minus_exp(re_x, im_x)
+    near = np.abs(f - 1.0) <= 2.0**-30
+    assume(near.any())
+    f, w = f[near], w[near]
+    z = f - 1.0
+    r, i = np.abs(z.real), np.abs(z.imag)
+    series_re, series_im, errs = zeta_module._log_series(f[None], w, 0)
+    log_re, log_im = zeta_module._log_terms(f[None], w)
+    d_re, d_im = np.abs(series_re[0] - log_re[0]), np.abs(series_im[0] - log_im[0])
+    assert np.all(d_re <= 2.0**-44 * w * (r + i)) and np.all(d_im <= 2.0**-44 * w * (r + i))
+    assert np.all(d_re <= 2.0**-44 * w * (r + r * r + i * i))
+    assert np.all(d_im <= 2.0**-44 * w * i)
+    for got, want, err in ((series_re, log_re, errs[0]), (series_im, log_im, errs[1])):
+        gap = zeta_module._scaled_sum(got) - zeta_module._scaled_sum(want)
+        assert Fraction(abs(gap), 2**zeta_module._SCALE_BITS) <= Fraction(err)
+
+
+def test_psi_far_right_certifies_its_zero_real_part():
+    # at Re(s) = 200 every factor is 1.0 + i*y, so the real part of every term,
+    # kept or left out, is +0.0; with the zero slack of that part the sum is
+    # certified as 0.0 and no term of the full grid is summed
+    spec = Spectrum([(0.3 + 0.45 * j, 0.3 * j + 0.1, 1 + j % 3) for j in range(10)])
+    s = complex(200.0, 0.5)
+    every = AssertionError("every term summed")
+    with mock.patch.object(zeta_module._Grid, "every", side_effect=every):
+        got = log_derivative(spec, 1, s, 30)
+    assert repr(got) == repr(psi_reference(spec, 1, s, 30))
+    assert math.copysign(1.0, got.real) == 1.0 and got.imag != 0.0
+
+
+def test_fsum_of_an_exact_zero_with_a_plus_zero_term_is_plus_zero():
+    # _certified_sum returns 0.0 for an exact-zero sum of kept terms when the
+    # slack is 0.0, where every other term is +0.0: fsum of such terms gives
+    # +0.0 on this interpreter
+    for terms in ([0.0], [-0.0, 0.0], [1.5, -1.5, 0.0], [-0.0, 5e-324, 0.0, -5e-324]):
+        assert math.fsum(terms).hex() == "0x0.0p+0"
+    assert zeta_module._certified_sum(0, 0.0).hex() == "0x0.0p+0"
+    assert zeta_module._certified_sum(0, 5e-324) is None
+    assert zeta_module._certified_sum(None, 0.0) is None
 
 
 def psi_reference(spec, tau_m, s, max_m):

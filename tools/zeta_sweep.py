@@ -6,7 +6,10 @@ and imaginary parts of each value, or the typed error's class name and
 message.  Two checkouts whose sweeps print the same hash give bit-identical
 values and the same errors on every case.  Where the sums skip factors
 (``lhspec.zeta._euler_sum``), the sweep also counts the calls that could
-not certify a part from the kept factors and summed every term.
+not certify a part from the kept factors and summed every term, and the
+zeta calls whose near rows (``lhspec.zeta._NEAR``) took the exact logs again
+to certify a part: those that called ``_log_series`` and then
+``_log_terms`` other than for the every-term sum.
 
     python tools/zeta_sweep.py [--src SRC] [--cases N] [--seed N]
 
@@ -81,10 +84,23 @@ def main(argv=None) -> dict:
             return exact(*a)
 
         zeta_mod._certified_sum, zeta_mod._exact_sum = _certified_sum, _exact_sum
+    retrying = hasattr(zeta_mod, "_NEAR")
+    if retrying:  # count the series and exact-log term builds of one call
+        log_series, log_terms = zeta_mod._log_series, zeta_mod._log_terms
+
+        def _log_series(*a):
+            calls["series"] += 1
+            return log_series(*a)
+
+        def _log_terms(*a):
+            calls["logs"] += 1
+            return log_terms(*a)
+
+        zeta_mod._log_series, zeta_mod._log_terms = _log_series, _log_terms
 
     digest = hashlib.sha256()
     outcomes = Counter()
-    paths = Counter()
+    paths = Counter({"zeta near retried": 0} if retrying else {})
     for s1, s2, tau, max_m, s in _cases(np.random.default_rng(args.seed), args.cases):
         spec1, spec2 = Spectrum(s1), Spectrum(s2)
         jobs = {
@@ -111,6 +127,8 @@ def main(argv=None) -> dict:
                     paths[f"{name} certified"] += 1
                 elif calls["exact"]:
                     paths[f"{name} every term"] += 1
+            if retrying and name == "zeta" and calls["series"]:
+                paths["zeta near retried"] += calls["logs"] > (calls["exact"] > 0)
     out = {
         "cases": args.cases,
         "seed": args.seed,
