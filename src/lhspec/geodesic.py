@@ -192,9 +192,13 @@ def group_residual(g) -> float:
 def in_group(g, tol: float = 1e-12) -> bool:
     """Membership test for SO(3,1)°: g^T J g = J, det g = 1, g44 >= 1.
 
-    Tolerances scale with the size of g: entries of a boost by a grow like
-    e^a, and the residual of the quadratic (resp. quartic) invariant picks
-    up rounding of that order squared (resp. fourth power).
+    The tolerance of g^T J g = J scales with the size of g: entries of a
+    boost by a grow like e^a, and the residual picks up rounding of that
+    order squared.  Where g^T J g = J, the g44 cofactor of g^-1 = J g^T J
+    gives det g * g44 = det g[:3, :3], and g44 is scale/2 or more: the
+    upper 3x3 block has the sign of det g.  That sign is read while the
+    block's rounding, about eps * scale**2, stays well below g44; with
+    entries of about 1/eps or more no float test can tell it.
     """
     m = np.asarray(g, dtype=float)
     if m.shape != (4, 4) or not np.all(np.isfinite(m)):
@@ -205,7 +209,7 @@ def in_group(g, tol: float = 1e-12) -> bool:
     scale2 = scale * scale
     if not math.isfinite(scale2) or group_residual(m) > tol * scale2:
         return False
-    if abs(float(np.linalg.det(m)) - 1.0) > tol * scale2 * scale2:
+    if 8.0 * np.finfo(float).eps * scale < 1.0 and np.linalg.det(m[:3, :3]) < 0.0:
         return False
     return m[3, 3] >= 1.0 - tol * scale2
 

@@ -22,24 +22,10 @@ as the k = -1 trace is the k = +1 trace mirrored through 0 (see
 one entry with as many copies as the candidate asks (one or two): one
 binary search and two gathers, with no sum of counts.
 
-Both peelings go in rounds.  A round is a run of steps that the step walk
-would take one after another with nothing in between: the lengths of the
-next smallest positive entries, or the forced attributions at the next
-minimal values.  Each entry of a round lies more than 2*tol below the next
-positive trace point of every class of the round, so no class reaches a
-later step's entry, which is that step's first point.  A ratio round asks
-``_candidates`` on its starting multiset; peeling only lowers counts, so a
-lone candidate there is the step walk's lone candidate or none, and none
-shows as a point the round overdraws.  A round removes all its traces in
-one ``zeros._subtract_traces`` call, as do the strip and each tie branch.  It commits only where the one-pass path of that call shows
-the steps one by one would each succeed and leave the same entries: each
-step alone hits its own entry and empties it, no entry near the window
-edge is hit by two steps, and every sum fits int64.  Then each step's
-audit record holds what that step alone would remove.  Anything else
-(a missing point, a tol window holding two entries, a shared edge entry)
-cuts the round to its first step, which is the step walk itself: its
-exact point-by-point walk runs where the one pass cannot decide and
-writes the error message.
+Both peelings go in rounds (``_peel_round``): runs of steps that the step
+walk would take one after another with nothing in between (the lengths of
+the next smallest positive entries, or the forced attributions at the next
+minimal values), whose traces go in one ``zeros._subtract_traces`` call.
 
 Everything works on finite windows: a peeled class must show its first two
 trace points inside the window (IncompleteWindow otherwise), and subtraction
@@ -100,20 +86,37 @@ def _coerce(z, tol: float) -> RealMultiset:
     return z if isinstance(z, RealMultiset) else RealMultiset.from_values(z, tol)
 
 
-def _round(cur: RealMultiset, first: tuple, reach: float, admit, tol: float) -> list[tuple]:
-    """The peeling round that starts with the step ``first`` at the smallest positive entry.
+def _peel_round(cur: RealMultiset, first: tuple, reach: float, admit, row, ks, w, tol: float):
+    """Peel the round that starts with the step ``first`` at the smallest positive entry.
 
-    The later positive entries join it in ascending order, one step each,
-    while each lies more than 2*tol below ``reach``, the smallest next
-    positive trace point of the round's classes, and ``admit(c, mult)``
-    returns the (step, its class's next positive point) of an entry c of
-    multiplicity mult rather than None.  No class of the round then
-    reaches the smallest entry of a later step, which is the first point
-    of that step's class.
+    A step is a tuple whose first item is its entry; ``row(step)`` is the
+    (a, b, mult) of its trace over ``ks``.  The later positive entries join
+    in ascending order, one step each, while each lies more than 2*tol
+    below ``reach``, the smallest next positive trace point of the round's
+    classes, and ``admit(c, mult)`` returns the (step, its class's next
+    positive point) of an entry c of multiplicity mult rather than None.
+    No class of the round then reaches a later step's entry, which is the
+    first point of that step's class.  With ``admit`` None the step stands
+    alone.
+
+    All the round's traces go in one ``zeros._subtract_traces`` call.  The
+    round commits where the one pass of that call shows the steps one by
+    one would each succeed and leave the same entries: each step alone
+    hits its own entry and empties it, no entry near the window edge is
+    hit by two steps, and every sum fits int64.  Then each step's removed
+    total is what that step alone would remove.  Anything else (a missing
+    point, a tol window holding two entries, a shared edge entry) cuts the
+    round to its first step, which is the step walk itself: its exact
+    point-by-point walk runs where the one pass cannot decide, and a
+    shortfall there raises UnderflowError.  A flag that ``admit`` sets on
+    the way (the ratio search's ``window_short``) is the first step's own
+    wherever the round ends as that step alone: the step walk may never
+    ask at the entries the round refused or gave up.
+
+    Returns (steps, the multiset left, the total each step removed).
     """
-    steps = [first]
-    c = first[0]
-    while (mp := cur.min_positive(c)) is not None:
+    steps, c = [first], first[0]
+    while admit is not None and (mp := cur.min_positive(c)) is not None:
         c, mult = mp
         if not c + 2.0 * tol < reach:
             break
@@ -122,7 +125,9 @@ def _round(cur: RealMultiset, first: tuple, reach: float, admit, tol: float) -> 
             break
         steps.append(got[0])
         reach = min(reach, got[1])
-    return steps
+    while (got := _subtract_traces(cur, [row(s) for s in steps], ks, w, tol, True)) is None:
+        steps = steps[:1]
+    return steps, *got
 
 
 def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None = None) -> RealMultiset:
@@ -131,13 +136,11 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
     Step: take the smallest strictly positive element s0 with multiplicity
     mu; emit a = 2*pi/s0 with multiplicity mu; subtract mu copies of the full
     windowed trace of a; repeat until no positive element remains.  The
-    steps go in rounds: a round takes the positive entries s0 in ascending
-    order while each passes the window check and lies more than 2*tol
-    below the second trace point 4*pi/a of every class of the round, and
-    subtracts all their traces at once; it commits where that equals its
-    steps one by one, and is otherwise cut to its first step.  A list
-    passed as ``audit`` receives one record per step (for conservation
-    checks: removed == mu * trace size away from the window edge).
+    steps go in rounds (``_peel_round``): the next positive entries join
+    while each passes the window check, and the reach of a class is its
+    second trace point 4*pi/a.  A list passed as ``audit`` receives one
+    record per step (for conservation checks: removed == mu * trace size
+    away from the window edge).
     """
     cur = _coerce(z, _check_tol(tol, DomainError))
     band = _band(w, tol)
@@ -148,6 +151,9 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
         a = TWO_PI / s0
         return (s0, a, mu), 2.0 * TWO_PI / a  # 4*pi/a by the trace's own expression
 
+    def row(step: tuple) -> tuple:
+        return step[1], 0.0, step[2]
+
     out: list[tuple[float, int]] = []
     limit = cur.total() + 1  # no more steps than that
     while len(out) < limit and (mp := cur.min_positive()) is not None:
@@ -157,19 +163,12 @@ def recover_lengths(z, w: ZeroWindow, tol: float = TAU_ZERO, audit: list | None 
                 f"window |Im(s)| <= {w.im_bound!r} cannot contain the first two trace "
                 f"points of recovered length {TWO_PI / mp[0]!r}"
             )
-        steps = _round(cur, *first, admit, tol)
-        while True:
-            rows = [(a, 0.0, mu) for _, a, mu in steps]
-            try:
-                got = _subtract_traces(cur, rows, (0,), w, tol, True)
-            except UnderflowError as exc:
-                raise NegativeMultiplicity(
-                    f"trace of recovered length {steps[0][1]!r} is not fully present: {exc}"
-                ) from exc
-            if got is not None:
-                break
-            steps = steps[:1]
-        cur, removed = got
+        try:
+            steps, cur, removed = _peel_round(cur, *first, admit, row, (0,), w, tol)
+        except UnderflowError as exc:
+            raise NegativeMultiplicity(
+                f"trace of recovered length {first[0][1]!r} is not fully present: {exc}"
+            ) from exc
         for (s0, a, mu), gone in zip(steps, removed):
             if audit is not None:
                 r = _n_range(a, 0.0, 0, w.im_bound)
@@ -286,19 +285,22 @@ def _candidates(
     return [cd for i, cd in enumerate(pending) if cd.per and i not in failed]
 
 
-def _attribute(cur, avail, ratios, audit, steps: list, ctx: _SearchCtx):
-    """Charge each (c, candidate, units) of ``steps``: ``units`` class copies of the candidate at c.
+def _attribute(cur, avail, ratios, audit, first: tuple, ctx: _SearchCtx, admit=None):
+    """Peel the round (``_peel_round``) that starts with the (c, candidate, units) step ``first``.
 
-    One ``_subtract_traces`` call for all their trace copies, as a round:
-    UnderflowError when a round of one step falls short, None when a round
-    of several cannot commit.  A ratio carries the class multiplicity;
-    zero holonomy keeps the doubled count.
+    Each step charges ``units`` class copies of its candidate at c: a
+    ratio carries the class multiplicity; zero holonomy keeps the doubled
+    count.  UnderflowError when the first step alone falls short.
     """
-    rows = [(cd.a, cd.b, units * cd.reps) for _, cd, units in steps]
-    got = _subtract_traces(cur, rows, steps[0][1].ks, ctx.w, ctx.tol, True)
-    if got is None:
-        return None
-    nxt, removed = got
+    cd, short, steps = first[1], ctx.window_short, [first]
+    try:
+        steps, cur, removed = _peel_round(
+            cur, first, (TWO_PI - cd.b) / cd.a, admit,
+            lambda s: (s[1].a, s[1].b, s[2] * s[1].reps), cd.ks, ctx.w, ctx.tol
+        )
+    finally:
+        if len(steps) == 1:  # cut, refused or short: the flag is the first step's own
+            ctx.window_short = short
     avail = [list(p) for p in avail]
     for (c, cd, units), gone in zip(steps, removed):
         avail[cd.idx][1] -= units
@@ -307,7 +309,7 @@ def _attribute(cur, avail, ratios, audit, steps: list, ctx: _SearchCtx):
         record = dict(smallest=c, kind=cd.kind, length=cd.a, holonomy=cd.b, multiplicity=emitted)
         record.update(trace_points=cd.trace_points, removed=gone)
         audit += (record,)
-    return nxt, avail, ratios, audit
+    return cur, avail, ratios, audit
 
 
 def _forced(cur, avail, first: tuple, ctx: _SearchCtx):
@@ -355,10 +357,8 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
     removes at most ``per`` of them.  So c stays the minimal value, and
     every leaf of the cut branch is a dead end at c.
 
-    A forced step where ``last`` is None starts a round: the forced steps
-    that follow it at the next minimal values (see ``_forced``), each more
-    than 2*tol below every round class's next positive point (2*pi-b)/a,
-    are subtracted with it at once, or it is cut to its first step.
+    A forced step where ``last`` is None starts a round (``_peel_round``,
+    ``_forced``); the reach of a class is its next positive point (2*pi-b)/a.
     """
     while len(ctx.distinct) < 2:
         mp = cur.min_positive()
@@ -378,7 +378,7 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
             branches = []
             for cd in cands:
                 try:
-                    branches.append((cd, _attribute(cur, avail, ratios, audit, [(c, cd, 1)], ctx)))
+                    branches.append((cd, _attribute(cur, avail, ratios, audit, (c, cd, 1), ctx)))
                 except UnderflowError:
                     pass
             if not branches:
@@ -395,22 +395,12 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
         units, short = divmod(mult, cd.per)
         if short or avail[cd.idx][1] < units:
             return ctx.stuck(c)
-        steps = [(c, cd, units)]
-        short_at_c = ctx.window_short
-        if last is None and cd.kind == "ratio":
-            admit = _forced(cur, avail, steps[0], ctx)
-            steps = _round(cur, steps[0], (TWO_PI - cd.b) / cd.a, admit, ctx.tol)
-        while True:
-            try:
-                got = _attribute(cur, avail, ratios, audit, steps, ctx)
-            except UnderflowError:
-                return ctx.stuck(c)
-            if got is not None:
-                break
-            # abandoned: only the first step stands, and the flag is its own
-            steps = steps[:1]
-            ctx.window_short = short_at_c
-        cur, avail, ratios, audit = got
+        step = (c, cd, units)
+        admit = _forced(cur, avail, step, ctx) if last is None and cd.kind == "ratio" else None
+        try:
+            cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, step, ctx, admit)
+        except UnderflowError:
+            return ctx.stuck(c)
         last = None
 
 

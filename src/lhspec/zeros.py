@@ -75,10 +75,19 @@ _POINT_CAP = 2**24
 _EXACT_N = 2**53
 
 
-def _check_cap(total: int, im_bound: float) -> None:
+def _check_cap(total: int, im_bound: float, spans: list[tuple]) -> None:
+    """DomainError when the ``total`` points of ``spans`` reach the point cap.
+
+    Then DomainError where some n of a span passes 2**53: float64 holds no
+    exact integer there, so the points cannot be told apart.
+    """
     if total >= _POINT_CAP:
         msg = f"window im_bound {im_bound!r} asks for {_POINT_CAP} points or more (the point cap)"
         raise DomainError(msg)
+    for a, b, _, lo, hi in spans:
+        if max(-lo, hi) > _EXACT_N:
+            msg = f"class ({a!r}, {b!r}) has trace points past n = 2**53 in window {im_bound!r}"
+            raise DomainError(msg)
 
 
 def _line(a: float, b: float, k: int, lo: int, hi: int) -> np.ndarray:
@@ -104,10 +113,10 @@ def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
 
     The points of all rows, padding included, are counted from their
     n-range bounds before any is built: DomainError when they reach the
-    point cap.
+    point cap, or when some n passes 2**53.
     """
     spans, total = _spans(rows, im_bound, pad)
-    _check_cap(total, im_bound)
+    _check_cap(total, im_bound, spans)
     return [_line(*span) for span in spans]
 
 
@@ -117,12 +126,13 @@ def _traces(classes, ks: Sequence[int], im_bound: float, pad: int = 0) -> list[n
     The map (k, n) -> (-k, -n) negates every point, and rounding commutes
     with negation: the n-range of -k is that of k negated, and its row is
     the row of k reversed and negated, bit for bit, wherever np.arange
-    builds every n exactly.  So a k < 0 row whose -k is asked for too is
-    taken from that row, and counted against the point cap as that row
-    is.  The one difference is an exact zero from nonzero operands, 0.0
-    in a row that is built and -0.0 in a mirrored one, which ``_joined``
-    makes 0.0; every caller joins the rows through it.  ``zero_multiset``,
-    which keeps the sign of a zero on purpose, builds every row instead.
+    builds every n exactly, which ``_check_cap`` makes sure of.  So a k < 0
+    row whose -k is asked for too is taken from that row, and counted
+    against the point cap as that row is.  The one difference is an exact
+    zero from nonzero operands, 0.0 in a row that is built and -0.0 in a
+    mirrored one, which ``_joined`` makes 0.0; every caller joins the rows
+    through it.  ``zero_multiset``, which keeps the sign of a zero on
+    purpose, builds every row instead.
     """
     ks = tuple(ks)
     own = [k for k in ks if not (k < 0 and -k in ks)]  # the rows that are built
@@ -134,18 +144,12 @@ def _traces(classes, ks: Sequence[int], im_bound: float, pad: int = 0) -> list[n
     mirrored = [i for k, i in zip(ks, src) if k != own[i]]
     starts = range(0, len(spans), len(own))  # the first row of each class
     total += sum(spans[j + i][4] - spans[j + i][3] for j in starts for i in mirrored)
-    _check_cap(total, im_bound)
+    _check_cap(total, im_bound, spans)
     parts = [_line(*span) for span in spans]
     out = []
     for j in starts:
         for k, i in zip(ks, src):
-            a, b, _, lo, hi = spans[j + i]
-            if k == own[i]:
-                out.append(parts[j + i])
-            elif max(-lo, hi) <= _EXACT_N:
-                out.append(-parts[j + i][::-1])
-            else:  # n = 1 - hi .. -lo
-                out.append(_line(a, b, k, 1 - hi, 1 - lo))
+            out.append(parts[j + i] if k == own[i] else -parts[j + i][::-1])
     return out
 
 

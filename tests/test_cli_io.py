@@ -269,6 +269,17 @@ def test_classify_matrix_past_the_float_range_is_not_in_group(entry, tmp_path, c
     assert json.loads(out)["error"]["code"] == "not_in_group"
 
 
+def test_classify_improper_matrix_is_not_in_group(tmp_path, capsys):
+    # det g = -1: g^T J g = J and g44 >= 1 hold, so only the sign of det g tells
+    c, s = math.cosh(20.0), math.sinh(20.0)
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, s], [0, 0, s, c]]))
+    assert run_cli(["classify", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out)["error"]["code"] == "not_in_group"
+
+
 @pytest.mark.parametrize("command", ["zeta", "psi", "zeros"])
 def test_cli_tol_only_where_read(command, capsys):
     argv = [command, str(DATA / "small.csv"), "--tol", "1"]

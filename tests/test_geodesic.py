@@ -53,6 +53,29 @@ def test_group_membership():
     assert not in_group(2 * np.eye(4))
 
 
+def test_improper_boost_is_not_in_group():
+    # det g = -1 with g^T J g = J and g44 >= 1: a reflection times a boost by 20
+    c, s = math.cosh(20.0), math.sinh(20.0)
+    g = np.array([[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, c, s], [0, 0, s, c]], dtype=float)
+    assert not in_group(g)
+    assert in_group(np.diag([-1.0, 1.0, 1.0, 1.0]) @ g)
+    with pytest.raises(NotInGroup):
+        classify(g)
+
+
+def test_in_group_reads_the_det_sign_only_where_rounding_resolves_it(rng):
+    # an improper conjugate is refused while the entries stay well below
+    # 1/eps; past that the upper block's determinant is rounding noise, and
+    # proper matrices must not be refused for it
+    for a in (10.0, 25.0, 40.0, 100.0):
+        for _ in range(20):
+            h = rand_conjugator(rng)
+            g = h @ normal_form(a, 1.0) @ np.linalg.inv(h)
+            assert in_group(g)
+            if a < 30.0:
+                assert not in_group(np.diag([-1.0, 1.0, 1.0, 1.0]) @ g)
+
+
 def test_classify_normal_form_is_its_own_invariant():
     a, b = classify(normal_form(2.0, 1.0))
     assert abs(a - 2.0) < 1e-10

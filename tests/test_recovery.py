@@ -618,9 +618,9 @@ def test_recover_ratios_counts_a_huge_trace_without_len():
 # peeling rounds: each equals its steps one by one
 
 
-def step_only(cur, first, reach, admit, tol):
-    """A stand-in for recovery._round whose rounds stop after their first step."""
-    return [first]
+def step_only(cur, first, reach, admit, *args, _peel_round=recovery._peel_round):
+    """A stand-in for recovery._peel_round whose rounds stop after their first step."""
+    return _peel_round(cur, first, reach, None, *args)
 
 
 def peel_outcome(m0, m1, spec, w, tol):
@@ -646,7 +646,7 @@ def peel_outcome(m0, m1, spec, w, tol):
 
 
 def peel_outcome_by_steps(*args):
-    with mock.patch.object(recovery, "_round", step_only):
+    with mock.patch.object(recovery, "_peel_round", step_only):
         return peel_outcome(*args)
 
 
@@ -809,7 +809,7 @@ def test_ratio_round_abandoned_keeps_the_step_walk_error(extra, error, monkeypat
     monkeypatch.setattr(recovery, "_subtract_traces", counted)
     got = ratio_outcome(with_audit, broken, lengths, w, 1e-9)
     assert calls == [2, 1]
-    with mock.patch.object(recovery, "_round", step_only):
+    with mock.patch.object(recovery, "_peel_round", step_only):
         assert got == ratio_outcome(with_audit, broken, lengths, w, 1e-9)
     assert got[0] is error and str(got[1]).endswith(("value 0.5", "(stuck at 0.5)"))
 

@@ -365,15 +365,15 @@ def test_mirrored_traces_equal_the_direct_build(classes, ks, pad, im_bound, edge
     assert _hex(got) == _hex(want)
 
 
-def test_mirrored_traces_build_rows_past_2_53_directly():
-    # here n is about 1.5e16, past the exact integers of float64: the k = -1
-    # row negated would not be the k = +1 row reversed, so it is built itself
-    a, b, im_bound = 1.3498382261231665, 9.588272061157066e16, 23.02506217464817
-    plus, minus = zeros._progressions([(a, b, 1), (a, b, -1)], im_bound, 1)
-    assert _hex([-plus[::-1]]) != _hex([minus])
-    assert _hex(zeros._traces([(a, b)], (1, -1), im_bound, 1)) == _hex([plus, minus])
-    inside = zeros._joined([minus[1:-1], plus[1:-1]]).tolist()
-    assert class_trace(a, b, (-1, 1), ZeroWindow(0, im_bound)) == inside
+def test_trace_past_2_53_is_refused():
+    # here n is about 1.5e16, past the exact integers of float64: the points
+    # cannot be told apart, and some of them lie above the window bound
+    a, b, w = 1.3498382261231665, 9.588272061157066e16, ZeroWindow(0, 23.02506217464817)
+    for ks in [(1,), (-1, 1)]:
+        with pytest.raises(DomainError, match="past n = 2\\*\\*53"):
+            class_trace(a, b, ks, w)
+        with pytest.raises(DomainError, match="past n = 2\\*\\*53"):
+            subtract_trace(RealMultiset.from_values([1.0]), a, b, ks, 1, w)
 
 
 def test_point_cap_counts_both_sides_of_a_ratio_round(monkeypatch):
