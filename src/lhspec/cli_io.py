@@ -170,6 +170,8 @@ def parse_complex(text: str) -> complex:
         raise ParseError(f"not a complex literal (expected RE+IMi form): {text!r}")
     re_part = float(m.group(1))
     im_part = float(m.group(2)) if m.group(2) is not None else 0.0
+    if not (math.isfinite(re_part) and math.isfinite(im_part)):
+        raise ParseError(f"complex literal past the float range: {text!r}")
     return complex(re_part, im_part)
 
 

@@ -108,10 +108,14 @@ def _peel_round(cur: RealMultiset, first: tuple, reach: float, admit, row, ks, w
     point, a tol window holding two entries, a shared edge entry) cuts the
     round to its first step, which is the step walk itself: its exact
     point-by-point walk runs where the one pass cannot decide, and a
-    shortfall there raises UnderflowError.  A flag that ``admit`` sets on
-    the way (the ratio search's ``window_short``) is the first step's own
-    wherever the round ends as that step alone: the step walk may never
-    ask at the entries the round refused or gave up.
+    shortfall there raises UnderflowError.
+
+    ``admit`` sets no flag (the ratio search's ``window_short``) that the
+    first step's own ``_candidates`` call left unset.  It is asked only at
+    entries c2 < reach - 2*tol, and reach <= im_bound + band, as the first
+    step's candidate passed the window check, so no entry with c2*a in
+    (pi, pi + slack] is window short.  One with c2*a <= pi is window short
+    at the first entry c < c2 too, as (2*pi - c*a)/a falls as c grows.
 
     Returns (steps, the multiset left, the total each step removed).
     """
@@ -233,8 +237,8 @@ def _candidates(
 
     Points are computed by the trace's own expression (-b*k - 2*pi*n)/a,
     so they equal trace values bit for bit, and the k = -1 points are the
-    k = +1 points negated (see ``zeros._traces``; only the sign of a zero
-    can differ, which no comparison here sees).  ``per`` adds ``reps`` for
+    k = +1 points mirrored by the rule of ``zeros._traces``, here plain
+    negation, as no comparison sees the sign of a zero.  ``per`` adds ``reps`` for
     each k whose point nearest c lies within tol of it.  The probe asks a
     few interior trace points (inside the zone ``subtract_trace`` removes
     strictly) for ``reps`` copies each, all candidates in one pass; a
@@ -265,7 +269,7 @@ def _candidates(
                 n = round((-b * k - c * a) / TWO_PI)
                 if abs((-b * k - TWO_PI * n) / a - c) <= ctx.tol:
                     per += reps
-            # the k = -1 points are the k = +1 points negated (see zeros._traces)
+            # the k = -1 points: the mirror rule of zeros._traces, up to the sign of 0
             k, mirror = ks[0], ks == (1, -1)
             r = _n_range(a, b, k, im_bound)
             count = r.stop - r.start  # not len(r), which fails past 2**63
@@ -292,15 +296,11 @@ def _attribute(cur, avail, ratios, audit, first: tuple, ctx: _SearchCtx, admit=N
     ratio carries the class multiplicity; zero holonomy keeps the doubled
     count.  UnderflowError when the first step alone falls short.
     """
-    cd, short, steps = first[1], ctx.window_short, [first]
-    try:
-        steps, cur, removed = _peel_round(
-            cur, first, (TWO_PI - cd.b) / cd.a, admit,
-            lambda s: (s[1].a, s[1].b, s[2] * s[1].reps), cd.ks, ctx.w, ctx.tol
-        )
-    finally:
-        if len(steps) == 1:  # cut, refused or short: the flag is the first step's own
-            ctx.window_short = short
+    cd = first[1]
+    steps, cur, removed = _peel_round(
+        cur, first, (TWO_PI - cd.b) / cd.a, admit,
+        lambda s: (s[1].a, s[1].b, s[2] * s[1].reps), cd.ks, ctx.w, ctx.tol
+    )
     avail = [list(p) for p in avail]
     for (c, cd, units), gone in zip(steps, removed):
         avail[cd.idx][1] -= units
@@ -320,14 +320,14 @@ def _forced(cur, avail, first: tuple, ctx: _SearchCtx):
     candidate, a ratio, that takes the whole multiplicity at c.  Peeling
     only lowers counts, so the step walk would find that candidate or
     none; none means a point the round's traces overdraw, which the
-    round's subtraction finds.  An entry that does not join leaves
-    ``ctx.window_short`` as it found it: the step walk may never ask there.
+    round's subtraction finds.  Asked where ``_peel_round`` asks, it sets
+    no ``ctx.window_short`` that the first step's call, which scanned every
+    length (a round starts only where ``last`` is None), left unset.
     """
     left = [list(p) for p in avail]
     left[first[1].idx][1] -= first[2]
 
     def admit(c: float, mult: int):
-        short_before = ctx.window_short
         cands = _candidates(cur, left, c, 0, ctx)
         if len(cands) == 1 and cands[0].kind == "ratio":
             cd = cands[0]
@@ -335,7 +335,6 @@ def _forced(cur, avail, first: tuple, ctx: _SearchCtx):
             if not short and left[cd.idx][1] >= units:
                 left[cd.idx][1] -= units
                 return (c, cd, units), (TWO_PI - cd.b) / cd.a
-        ctx.window_short = short_before
         return None
 
     return admit

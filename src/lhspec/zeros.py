@@ -11,13 +11,10 @@ Re(s) = 0, -1, -2, ...  Everything here is windowed: |Im(s)| <= im_bound
 windowed multiset is complete for its window by construction.  A ZeroWindow
 is checked when it is made, and the functions that take one trust it.
 
-The map (k, n) -> (-k, -n) negates every point, so the k = -1 trace of a
-class is its k = +1 trace mirrored through 0.  ``class_trace``,
-``zero_line`` and the trace subtraction build each k > 0 row once and take
-the -k row as that row negated and reversed (``_traces``).  That is bit
-for bit the row built directly, except for the sign of an exact zero,
-which all three make 0.0.  ``zero_multiset`` keeps that sign as the order
-of its progressions decides it, so it builds every row itself.
+The map (k, n) -> (-k, -n) negates every point, so the k < 0 trace of a
+class is its |k| trace mirrored through 0.  Every trace is built by
+``_traces``, which builds each |k| row once and mirrors the k < 0 rows bit
+for bit, the sign of an exact zero included.
 """
 
 from __future__ import annotations
@@ -75,82 +72,48 @@ _POINT_CAP = 2**24
 _EXACT_N = 2**53
 
 
-def _check_cap(total: int, im_bound: float, spans: list[tuple]) -> None:
-    """DomainError when the ``total`` points of ``spans`` reach the point cap.
+def _traces(classes, ks: Sequence[int], im_bound: float, pad: int = 0) -> list[np.ndarray]:
+    """(-b*k - 2*n*pi)/a for each class (a, b) and each k of ks, in that order.
 
-    Then DomainError where some n of a span passes 2**53: float64 holds no
-    exact integer there, so the points cannot be told apart.
+    Each row runs over n ascending in the window and ``pad`` past it.  The
+    points of all rows, padding included, are counted from their n-range
+    bounds before any is built: DomainError when they reach the point cap,
+    or when some n passes 2**53, past which np.arange builds no exact n.
+
+    The map (k, n) -> (-k, -n) negates every point, and every float
+    operation commutes with negation except where it gives an exact zero.
+    So each |k| row of a class is built once, and its k < 0 row is
+    z - row[::-1] with z = copysign(0.0, b).  For b >= -0.0 that is the row
+    built directly bit for bit, the sign of a zero included: nonzero
+    operands that cancel give 0.0 in both rows, which 0.0 - 0.0 keeps; at
+    n = 0 with b = +-0.0 the zero's sign flips with b's, which z carries;
+    and a quotient that underflows to zero keeps its operand's sign.  A
+    negative b reaches here only from ``class_trace`` and
+    ``subtract_trace``, which make every zero 0.0 (``_joined``).
     """
+    ks = tuple(ks)
+    mags = [abs(k) for k in ks]
+    built = list(dict.fromkeys(mags))  # the |k| of the rows built for each class
+    spans, total = [], 0
+    for a, b in classes:
+        for k in built:
+            r = _n_range(a, b, k, im_bound)
+            spans.append((a, b, k, r.start - pad, r.stop + pad))
+            total += (r.stop - r.start + 2 * pad) * mags.count(k)
     if total >= _POINT_CAP:
         msg = f"window im_bound {im_bound!r} asks for {_POINT_CAP} points or more (the point cap)"
         raise DomainError(msg)
     for a, b, _, lo, hi in spans:
-        if max(-lo, hi) > _EXACT_N:
+        if max(-lo, hi - 1) > _EXACT_N:
             msg = f"class ({a!r}, {b!r}) has trace points past n = 2**53 in window {im_bound!r}"
             raise DomainError(msg)
-
-
-def _line(a: float, b: float, k: int, lo: int, hi: int) -> np.ndarray:
-    # (-b*k - 2*n*pi)/a for n in range(lo, hi)
-    return (-b * k - TWO_PI * np.arange(lo, hi, dtype=np.float64)) / a
-
-
-def _spans(rows, im_bound: float, pad: int) -> tuple[list[tuple], int]:
-    """(a, b, k, lo, hi) of each (a, b, k) row, n in range(lo, hi) padded by ``pad`` at each end.
-
-    Also returns the number of points of all rows.
-    """
-    spans, total = [], 0
-    for a, b, k in rows:
-        r = _n_range(a, b, k, im_bound)
-        total += r.stop - r.start + 2 * pad
-        spans.append((a, b, k, r.start - pad, r.stop + pad))
-    return spans, total
-
-
-def _progressions(rows, im_bound: float, pad: int = 0) -> list[np.ndarray]:
-    """(-b*k - 2*n*pi)/a for each (a, b, k) row, n ascending over the window and ``pad`` past it.
-
-    The points of all rows, padding included, are counted from their
-    n-range bounds before any is built: DomainError when they reach the
-    point cap, or when some n passes 2**53.
-    """
-    spans, total = _spans(rows, im_bound, pad)
-    _check_cap(total, im_bound, spans)
-    return [_line(*span) for span in spans]
-
-
-def _traces(classes, ks: Sequence[int], im_bound: float, pad: int = 0) -> list[np.ndarray]:
-    """``_progressions`` of the rows (a, b, k) for each class (a, b) and each k of ks, in that order.
-
-    The map (k, n) -> (-k, -n) negates every point, and rounding commutes
-    with negation: the n-range of -k is that of k negated, and its row is
-    the row of k reversed and negated, bit for bit, wherever np.arange
-    builds every n exactly, which ``_check_cap`` makes sure of.  So a k < 0
-    row whose -k is asked for too is taken from that row, and counted
-    against the point cap as that row is.  The one difference is an exact
-    zero from nonzero operands, 0.0 in a row that is built and -0.0 in a
-    mirrored one, which ``_joined`` makes 0.0; every caller joins the rows
-    through it.  ``zero_multiset``, which keeps the sign of a zero on
-    purpose, builds every row instead.
-    """
-    ks = tuple(ks)
-    own = [k for k in ks if not (k < 0 and -k in ks)]  # the rows that are built
-    rows = [(a, b, k) for a, b in classes for k in own]
-    if len(own) == len(ks):
-        return _progressions(rows, im_bound, pad)
-    spans, total = _spans(rows, im_bound, pad)
-    src = [own.index(-k if k < 0 and -k in ks else k) for k in ks]  # the own row of each k
-    mirrored = [i for k, i in zip(ks, src) if k != own[i]]
-    starts = range(0, len(spans), len(own))  # the first row of each class
-    total += sum(spans[j + i][4] - spans[j + i][3] for j in starts for i in mirrored)
-    _check_cap(total, im_bound, spans)
-    parts = [_line(*span) for span in spans]
-    out = []
-    for j in starts:
-        for k, i in zip(ks, src):
-            out.append(parts[j + i] if k == own[i] else -parts[j + i][::-1])
-    return out
+    rows = [(-b * k - TWO_PI * np.arange(lo, hi, dtype=np.float64)) / a for a, b, k, lo, hi in spans]
+    at = [built.index(m) for m in mags]  # the built row of each k
+    return [
+        rows[j + i] if k >= 0 else math.copysign(0.0, spans[j][1]) - rows[j + i][::-1]
+        for j in range(0, len(rows), len(built) or 1)  # the first row of each class
+        for k, i in zip(ks, at)
+    ]
 
 
 def _band(w: ZeroWindow, tol: float) -> float:
@@ -198,7 +161,7 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     reach = tau_m + w.max_m  # |m1 - m2 + k| <= reach
     kks = range(-reach, reach + 1)
     for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist()):
-        lines = dict(zip(kks, _progressions([(a, b, kk) for kk in kks], w.im_bound)))
+        lines = dict(zip(kks, _traces([(a, b)], kks, w.im_bound)))
         for k in range(-tau_m, tau_m + 1):
             for m1 in range(w.max_m + 1):
                 for m2 in range(w.max_m + 1 - m1):

@@ -221,6 +221,13 @@ def test_cli_bad_complex_literal(capsys):
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "parse_error"
 
 
+@pytest.mark.parametrize("command", ["zeta", "psi"])
+def test_cli_complex_literal_past_the_float_range(command, capsys):
+    assert run_cli([command, str(DATA / "small.csv"), "--s=1e400"]) == 2
+    out = json.loads(capsys.readouterr().out)  # one document
+    assert out["error"]["code"] == "parse_error"
+
+
 USAGE_ERRORS = [
     ([], "the following arguments are required: command"),
     (["zeta", str(DATA / "small.csv")], "the following arguments are required: --s"),
@@ -522,7 +529,9 @@ def test_parse_complex_accepts(text, value):
     assert parse_complex(text) == value
 
 
-@pytest.mark.parametrize("text", ["i", "3+", "1+2j", "abc", "", "1 + 2i", "2i", "1+i"])
+@pytest.mark.parametrize(
+    "text", ["i", "3+", "1+2j", "abc", "", "1 + 2i", "2i", "1+i", "1e400", "-1e400", "3+1e400i"]
+)
 def test_parse_complex_rejects(text):
     with pytest.raises(ParseError):
         parse_complex(text)

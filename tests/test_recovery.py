@@ -31,7 +31,7 @@ from lhspec import (
 )
 from lhspec import recovery
 from lhspec.recovery import _candidates, _SearchCtx
-from lhspec.zeros import _n_range, subtract_trace
+from lhspec.zeros import _band, _n_range, subtract_trace
 
 from helpers import (
     TWO_PI,
@@ -814,13 +814,35 @@ def test_ratio_round_abandoned_keeps_the_step_walk_error(extra, error, monkeypat
     assert got[0] is error and str(got[1]).endswith(("value 0.5", "(stuck at 0.5)"))
 
 
-def test_ratio_round_probe_it_refuses_leaves_the_window_flag():
-    # the round's admit probes c = 12 and refuses it; the length 0.2 is
-    # window short there, but the step walk may never ask at 12, so the
-    # flag stays as the probe found it
-    w = ZeroWindow(0, 10.0)
-    ctx = _SearchCtx(w=w, tol=1e-9, band=1e-9 * 10.0)
-    first = (0.5, recovery._Candidate("ratio", 0, 1.0, 0.5, (1, -1), 1, 1, 7), 1)
-    admit = recovery._forced(RealMultiset.from_values([0.5, 12.0]), [[1.0, 2], [0.2, 1]], first, ctx)
-    assert admit(12.0, 1) is None
-    assert ctx.window_short is False
+@given(
+    st.floats(0.2, 5.0),
+    st.floats(0.05, math.pi),
+    st.floats(0.99, 3.0),
+    st.lists(st.floats(0.3, 3.0), max_size=4),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6),
+    st.sampled_from([0.0, 1e-9, 1e-3, 1e-2]),
+)
+@settings(max_examples=300, deadline=None)
+def test_ratio_round_admit_sets_no_window_flag_the_first_step_left(a0, b0, grow, xs, fracs, tol):
+    # a round asks admit only at entries c2 < reach - 2*tol, and the reach
+    # (2*pi - b0)/a0 of its first step's candidate passed the window check
+    # im_bound + band.  There no length is window short that was not at the
+    # first entry c: the lengths x*pi/c cross c2*a = pi, and the lengths
+    # (pi + tol/2)/c2 lie in the slack above pi, window short only past reach
+    c, reach = b0 / a0, (TWO_PI - b0) / a0
+    w = ZeroWindow(0, reach * grow)
+    ctx = _SearchCtx(w=w, tol=tol, band=_band(w, tol))
+    if reach > w.im_bound + ctx.band:  # the first step's candidate is window short
+        return
+    c2s = [c + f * (reach - 2.0 * tol - c) for f in fracs]
+    c2s = [c2 for c2 in c2s if c < c2 < reach - 2.0 * tol]
+    avail = [[a0, 2]] + [[x * PI / c, 1] for x in xs]
+    avail += [[(PI + tol / 2) / c2, 1] for c2 in c2s]
+    cur = RealMultiset.from_values([c])
+    _candidates(cur, avail, c, 0, ctx)  # the first step's own call
+    short = ctx.window_short
+    first = (c, recovery._Candidate("ratio", 0, a0, b0, (1, -1), 1, 1, 7), 1)
+    admit = recovery._forced(cur, avail, first, ctx)
+    for c2 in c2s:
+        admit(c2, 1)
+        assert ctx.window_short is short

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -320,7 +321,7 @@ def test_zero_multiset_counts_its_points_before_the_loop(monkeypatch):
     monkeypatch.setattr(zeros, "_POINT_CAP", 13)
     assert zero_multiset(spec, 0, w).total() == 9
     monkeypatch.setattr(zeros, "_POINT_CAP", 12)
-    monkeypatch.setattr(zeros, "_progressions", None)
+    monkeypatch.setattr(zeros, "_traces", None)
     with pytest.raises(DomainError, match="point cap"):
         zero_multiset(spec, 0, w)
     with pytest.raises(DomainError, match="point cap"):  # no float of 10**400 progressions
@@ -331,15 +332,11 @@ def test_zero_multiset_counts_its_points_before_the_loop(monkeypatch):
         zero_multiset(Spectrum([(1.0, 0.5, 1), (1e308, 0.5, 1)]), 0, ZeroWindow(10**6, 10.0))
 
 
-def _hex(parts):
-    return [x.hex() for x in zeros._joined(parts).tolist()]
-
-
 @given(
     st.lists(
         st.tuples(
             st.floats(1e-3, 1e3),
-            st.sampled_from([0.0, math.pi])
+            st.sampled_from([0.0, -0.0, math.pi, 5e-324])
             | st.floats(0.0, TWO_PI, exclude_min=True, exclude_max=True),
         ),
         min_size=1,
@@ -358,11 +355,17 @@ def test_mirrored_traces_equal_the_direct_build(classes, ks, pad, im_bound, edge
         (a, b), (k, n) = classes[0], edge
         im_bound = abs((-b * k - TWO_PI * n) / a) or im_bound
     assume(im_bound * sum(a for a, _ in classes) < 1e5)  # rows of about im_bound * a / pi points
-    rows = [(a, b, k) for a, b in classes for k in ks]
-    want = zeros._progressions(rows, im_bound, pad)
+    want = []
+    for a, b in classes:
+        for k in ks:
+            r = zeros._n_range(a, b, k, im_bound)
+            n = np.arange(r.start - pad, r.stop + pad, dtype=np.float64)
+            want.append((-b * k - TWO_PI * n) / a)
     got = zeros._traces(classes, ks, im_bound, pad)
-    assert [p.size for p in got] == [p.size for p in want]
-    assert _hex(got) == _hex(want)
+    # row by row, bit for bit: the sign of a zero counts
+    assert [[x.hex() for x in p.tolist()] for p in got] == [
+        [x.hex() for x in p.tolist()] for p in want
+    ]
 
 
 def test_trace_past_2_53_is_refused():

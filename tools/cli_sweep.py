@@ -9,8 +9,9 @@ hash write the same bytes and exit the same way on every call.
 
 ``SRC`` is the ``src`` directory of the checkout to measure (default: the
 one beside this script).  Each case is a spectrum of 1-6 classes with
-lengths uniform in [0.3, 5], holonomy 0 (15%), pi (10%) or uniform in
-[0, 2*pi), multiplicity 1-3, written as CSV or JSON (half each) with every
+lengths uniform in [0.3, 5], holonomy 0 (15%), pi (10%), -0.0 (5%, which
+reaches the sign of zero of the k < 0 trace rows) or uniform in [0, 2*pi)
+(70%), multiplicity 1-3, written as CSV or JSON (half each) with every
 float in its shortest round-trip form.  A quarter of the cases take their
 lengths from a pool of four, so that lengths are commensurable or repeat.
 Per case:
@@ -51,7 +52,10 @@ def _cases(rng, n):
         out = []
         for _ in range(k):
             u = rng.random()
-            b = 0.0 if u < 0.15 else math.pi if u < 0.25 else float(rng.uniform(0.0, 2 * math.pi))
+            if u < 0.3:
+                b = 0.0 if u < 0.15 else math.pi if u < 0.25 else -0.0
+            else:
+                b = float(rng.uniform(0.0, 2 * math.pi))
             a = float(rng.choice(LENGTH_POOL)) if pooled else float(rng.uniform(0.3, 5.0))
             out.append((a, b, int(rng.integers(1, 4))))
         return out
