@@ -97,6 +97,23 @@ def _canonical(
     return [c[keep] for c in cols], counts[keep]
 
 
+def _holds(view: tuple[list, list], v: float, need: int, tol: float) -> bool:
+    """Whether ``count_near(v, tol) >= need``, need 1 or 2, on a ``RealMultiset._view()``.
+
+    One ``bisect_left`` finds the first entry at or above v - tol; it and
+    the entry after it are inside the window when they lie at or below
+    v + tol.  Counts are at least 1, so a window of two entries always
+    holds ``need`` copies and an empty one never does.  A NaN entry sorts
+    last and is never inside, as ``nan <= v + tol`` is false.
+    """
+    vals, counts = view
+    i = bisect.bisect_left(vals, v - tol)
+    up = v + tol
+    if i < len(vals) and vals[i] <= up:
+        return counts[i] >= need or (i + 1 < len(vals) and vals[i + 1] <= up)
+    return False
+
+
 class _Multiset:
     """Immutable core shared by the real and complex multisets and the spectrum.
 
@@ -206,6 +223,10 @@ class RealMultiset(_Multiset):
             return float(self._values[i]), int(self._counts[i])
         return None
 
+    def _view(self) -> tuple[list, list]:
+        """The values and counts as two Python lists, the view ``_holds`` probes."""
+        return self._values.tolist(), self._counts.tolist()
+
     def count_near(self, value: float, tol: float) -> int:
         """Total multiplicity within tol of value."""
         lo = np.searchsorted(self._values, value - tol, side="left")
@@ -230,18 +251,6 @@ class RealMultiset(_Multiset):
         slot = np.where(vals.take(lo, mode="clip") <= up, lo, n)
         two = (vals.take(lo + 1, mode="clip") <= up) & (lo < n - 1)
         return slot, two
-
-    def _holds(self, values: np.ndarray, need: np.ndarray, tol: float) -> np.ndarray:
-        """Whether ``count_near(v, tol) >= m`` for each v of values and m of need, each m at most 2.
-
-        Counts are at least 1, so a window of two entries always holds
-        ``m`` copies and an empty one never does.
-        """
-        slot, two = self._near(values, tol)
-        n = self._counts.size
-        if n == 0:
-            return two
-        return two | ((slot < n) & (self._counts.take(slot, mode="clip") >= need))
 
     def subtract(
         self,

@@ -10,17 +10,18 @@ only when exactly one attribution extends to a complete, consistent peeling;
 genuinely undecidable windows raise AmbiguousTrace instead of guessing.
 
 Each search step decides from the data and from counts before it
-subtracts.  It probes every candidate attribution in one pass: a few
-interior trace points, computed by the trace's own expression
-(-b*k - 2*n*pi)/a, must each be present with the candidate's multiplicity,
-or the subtraction would underflow.  It cuts the branch when the survivors
-cannot cover every copy of the minimal value, so ties among commensurable
-classes do not grow exponentially.  Then each attribution's trace is
-subtracted once.  The probe points of k = -1 are those of k = +1 negated,
-as the k = -1 trace is the k = +1 trace mirrored through 0 (see
-``zeros``).  A probe point passes when its tol window holds two entries, or
-one entry with as many copies as the candidate asks (one or two): one
-binary search and two gathers, with no sum of counts.
+subtracts.  It probes every candidate attribution: a few interior trace
+points, computed by the trace's own expression (-b*k - 2*n*pi)/a, must
+each be present with the candidate's multiplicity, or the subtraction
+would underflow.  It cuts the branch when the survivors cannot cover every
+copy of the minimal value, so ties among commensurable classes do not grow
+exponentially.  Then each attribution's trace is subtracted once.  The
+probe points of k = -1 are those of k = +1 negated, as the k = -1 trace is
+the k = +1 trace mirrored through 0 (see ``zeros``).  A probe point passes
+when its tol window holds two entries, or one entry with as many copies as
+the candidate asks (one or two): one ``bisect_left`` on the search state's
+multiset taken once as two Python lists (``multisets._holds``), with no sum
+of counts, and a candidate stops at its first absent point.
 
 Both peelings go in rounds (``_peel_round``): runs of steps that the step
 walk would take one after another with nothing in between (the lengths of
@@ -39,8 +40,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (
     AmbiguousTrace,
     DomainError,
@@ -56,6 +55,7 @@ from .multisets import (
     TAU_ZERO,
     MatchResult,
     RealMultiset,
+    _holds,
     match_multisets,
     multiset_equal,
 )
@@ -227,7 +227,7 @@ class _Candidate(NamedTuple):
 
 
 def _candidates(
-    cur: RealMultiset, avail: list[list], c: float, first: int, ctx: _SearchCtx
+    view: tuple[list, list], avail: list[list], c: float, first: int, ctx: _SearchCtx
 ) -> list[_Candidate]:
     """Attributions of minimal value c, from available length ``first`` on, that pass the probe.
 
@@ -235,25 +235,27 @@ def _candidates(
     (0, pi].  Degenerate candidate: c is the first positive point 2*pi/a of
     the doubled k = 0 trace left behind by a zero-holonomy class.
 
-    Points are computed by the trace's own expression (-b*k - 2*pi*n)/a,
-    so they equal trace values bit for bit, and the k = -1 points are the
-    k = +1 points mirrored by the rule of ``zeros._traces``, here plain
-    negation, as no comparison sees the sign of a zero.  ``per`` adds ``reps`` for
-    each k whose point nearest c lies within tol of it.  The probe asks a
-    few interior trace points (inside the zone ``subtract_trace`` removes
-    strictly) for ``reps`` copies each, all candidates in one pass; a
-    candidate that fails it would underflow.  Nothing is subtracted here.
+    ``view`` is the search state's multiset as two sorted lists, values
+    and counts (``RealMultiset._view``).  Points are computed by the
+    trace's own expression (-b*k - 2*pi*n)/a, so they equal trace values
+    bit for bit, and the k = -1 points are the k = +1 points mirrored by
+    the rule of ``zeros._traces``, here plain negation, as no comparison
+    sees the sign of a zero.  The probe asks a few interior trace points
+    (inside the zone ``subtract_trace`` removes strictly) for ``reps``
+    copies each, one ``bisect_left`` per point on the view (``_holds``),
+    and stops a candidate at its first absent point: a candidate that
+    fails it would underflow.  Only a survivor gets its ``per``, which
+    adds ``reps`` for each k whose point nearest c lies within tol of it.
+    Nothing is subtracted here.
     """
-    im_bound, lim = ctx.w.im_bound, ctx.w.im_bound - ctx.band
-    pending = []
-    points: list[float] = []
-    owner: list[int] = []  # the pending candidate of each probe point
+    im_bound, lim, tol = ctx.w.im_bound, ctx.w.im_bound - ctx.band, ctx.tol
+    found = []
     for idx in range(first, len(avail)):
         a, rem = avail[idx]
         if rem <= 0:
             continue
         b1 = c * a
-        slack = ctx.tol * (1.0 + a)
+        slack = tol * (1.0 + a)
         tries = []
         if 0.0 < b1 <= PI + slack:
             b_sub = min(b1, TWO_PI - b1)
@@ -264,12 +266,6 @@ def _candidates(
         if abs(b1 - TWO_PI) <= slack:
             tries.append(("zero", 0.0, (0,), 2))
         for kind, b, ks, reps in tries:
-            per = 0
-            for k in ks:
-                n = round((-b * k - c * a) / TWO_PI)
-                if abs((-b * k - TWO_PI * n) / a - c) <= ctx.tol:
-                    per += reps
-            # the k = -1 points: the mirror rule of zeros._traces, up to the sign of 0
             k, mirror = ks[0], ks == (1, -1)
             r = _n_range(a, b, k, im_bound)
             count = r.stop - r.start  # not len(r), which fails past 2**63
@@ -277,16 +273,19 @@ def _candidates(
             # which every candidate explains by construction
             for n in (r[1], r[-2]) if count > 2 else r:
                 v = (-b * k - TWO_PI * n) / a
-                if abs(v) <= lim:
-                    points += (v, -v) if mirror else (v,)
-                    owner += (len(pending),) * (1 + mirror)
-            pending.append(_Candidate(kind, idx, a, b, ks, reps, per, count * len(ks)))
-    if not pending:
-        return []
-    need = np.array([pending[i].reps for i in owner], dtype=np.int64)  # reps per point
-    short = ~cur._holds(np.array(points), need, ctx.tol)
-    failed = {owner[j] for j in np.flatnonzero(short).tolist()}
-    return [cd for i, cd in enumerate(pending) if cd.per and i not in failed]
+                if abs(v) <= lim and not (
+                    _holds(view, v, reps, tol) and (not mirror or _holds(view, -v, reps, tol))
+                ):
+                    break
+            else:
+                per = 0
+                for k in ks:
+                    n = round((-b * k - c * a) / TWO_PI)
+                    if abs((-b * k - TWO_PI * n) / a - c) <= tol:
+                        per += reps
+                if per:
+                    found.append(_Candidate(kind, idx, a, b, ks, reps, per, count * len(ks)))
+    return found
 
 
 def _attribute(cur, avail, ratios, audit, first: tuple, ctx: _SearchCtx, admit=None):
@@ -312,23 +311,27 @@ def _attribute(cur, avail, ratios, audit, first: tuple, ctx: _SearchCtx, admit=N
     return cur, avail, ratios, audit
 
 
-def _forced(cur, avail, first: tuple, ctx: _SearchCtx):
+def _forced(view, avail, first: tuple, ctx: _SearchCtx):
     """``admit`` of a ratio round that starts with the forced step ``first``.
 
     An entry c joins when ``_candidates``, run on the round's starting
     multiset with the lengths the round has not used, finds exactly one
-    candidate, a ratio, that takes the whole multiplicity at c.  Peeling
-    only lowers counts, so the step walk would find that candidate or
-    none; none means a point the round's traces overdraw, which the
-    round's subtraction finds.  Asked where ``_peel_round`` asks, it sets
-    no ``ctx.window_short`` that the first step's call, which scanned every
-    length (a round starts only where ``last`` is None), left unset.
+    candidate, a ratio, that takes the whole multiplicity at c.  Every
+    admit probes that one starting multiset, so all of them share the
+    list view ``view`` that the first step's ``_candidates`` call probed:
+    one ``bisect_left`` per point on it, a candidate stopped at its first
+    absent point.  Peeling only lowers counts, so the step walk would find
+    that candidate or none; none means a point the round's traces
+    overdraw, which the round's subtraction finds.  Asked where
+    ``_peel_round`` asks, it sets no ``ctx.window_short`` that the first
+    step's call, which scanned every length (a round starts only where
+    ``last`` is None), left unset.
     """
     left = [list(p) for p in avail]
     left[first[1].idx][1] -= first[2]
 
     def admit(c: float, mult: int):
-        cands = _candidates(cur, left, c, 0, ctx)
+        cands = _candidates(view, left, c, 0, ctx)
         if len(cands) == 1 and cands[0].kind == "ratio":
             cd = cands[0]
             units, short = divmod(mult, cd.per)
@@ -358,18 +361,24 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
 
     A forced step where ``last`` is None starts a round (``_peel_round``,
     ``_forced``); the reach of a class is its next positive point (2*pi-b)/a.
+    Each state's multiset is taken as a list view once, for its own
+    ``_candidates`` call and every ``admit`` of the round it starts.  A
+    state with entries left but none positive is a dead end at its
+    smallest entry.
     """
     while len(ctx.distinct) < 2:
         mp = cur.min_positive()
         if mp is None:
-            if cur.total() == 0:
-                ms = RealMultiset(ratios, ctx.tol)
-                if not any(multiset_equal(ms, seen, ctx.tol) for seen, _ in ctx.distinct):
-                    ctx.distinct.append((ms, audit))
+            if cur:  # no positive entry explains what is left
+                return ctx.stuck(cur.entries[0][0])
+            ms = RealMultiset(ratios, ctx.tol)
+            if not any(multiset_equal(ms, seen, ctx.tol) for seen, _ in ctx.distinct):
+                ctx.distinct.append((ms, audit))
             return
         c, mult = mp
         first = last[1] if last is not None and abs(last[0] - c) <= ctx.tol else 0
-        cands = _candidates(cur, avail, c, first, ctx)
+        view = cur._view()
+        cands = _candidates(view, avail, c, first, ctx)
         if sum(avail[cd.idx][1] * cd.per for cd in cands) < mult:
             return ctx.stuck(c)
         if len(cands) > 1:
@@ -395,7 +404,7 @@ def _peel_ratios(cur, avail, ratios, audit, ctx, last=None) -> None:
         if short or avail[cd.idx][1] < units:
             return ctx.stuck(c)
         step = (c, cd, units)
-        admit = _forced(cur, avail, step, ctx) if last is None and cd.kind == "ratio" else None
+        admit = _forced(view, avail, step, ctx) if last is None and cd.kind == "ratio" else None
         try:
             cur, avail, ratios, audit = _attribute(cur, avail, ratios, audit, step, ctx, admit)
         except UnderflowError:

@@ -330,10 +330,11 @@ def recover_ratios_reference(cur, lengths, w, tol):
         while len(distinct) < 2:
             mp = cur.min_positive()
             if mp is None:
-                if cur.total() == 0:
-                    ms = RealMultiset(ratios, tol)
-                    if not any(multiset_equal(ms, seen, tol) for seen, _ in distinct):
-                        distinct.append((ms, audit))
+                if cur.total() > 0:  # stuck at the smallest entry left
+                    return stuck.append(cur.values()[0])
+                ms = RealMultiset(ratios, tol)
+                if not any(multiset_equal(ms, seen, tol) for seen, _ in distinct):
+                    distinct.append((ms, audit))
                 return
             c, mult = mp
             cands = candidates_reference(cur, avail, c, mult, ctx)

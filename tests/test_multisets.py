@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lhspec import ComplexMultiset, DomainError, MatchResult, RealMultiset, UnderflowError
-from lhspec.multisets import match_multisets, multiset_equal
+from lhspec.multisets import _holds, match_multisets, multiset_equal
 
 from helpers import (
     cluster_reference,
@@ -85,15 +85,19 @@ def test_count_near_window():
         ([(1.0, 1), (2.0, 1), (3.0, 2)], [1.5, 2.5, 0.5], 0.5),  # window ends on entries
         ([(3.0, 2)], [2.0, 2.5, 3.0, 3.5, 4.0], 0.5),  # one entry
         ([], [0.0, 1.0], 0.5),
+        # a NaN entry sorts last and is never inside a window: not (nan > v + tol)
+        # would count it as the second entry at 1.0 and as the only one at 5.0
+        ([(1.0, 1), (math.nan, 1)], [1.0, 5.0], 0.5),
     ],
-    ids=["two_in_window", "past_last", "ends_on_entries", "one_entry", "empty"],
+    ids=["two_in_window", "past_last", "ends_on_entries", "one_entry", "empty", "nan_last"],
 )
 def test_window_hits_agree_with_count_near_and_the_walk(pairs, values, tol):
     ms = RealMultiset(pairs, tol=0.0)
     vals = np.array(values)
+    view = ms._view()
     for need in (1, 2):
         held = [ms.count_near(v, tol) >= need for v in values]
-        assert ms._holds(vals, np.full(vals.size, need), tol).tolist() == held
+        assert [_holds(view, v, need, tol) for v in values] == held
         triples = [(v, need, False) for v in values]
         try:
             want = ms._subtract_exact(triples, tol)
@@ -173,9 +177,9 @@ def test_canonical_form_matches_sequential_clustering(pairs, tol):
 def test_holds_matches_count_near(stored, values, tol, needs):
     # counts are at least 1, so for needs of 1 or 2 two entries in a window always do
     ms = RealMultiset(stored, tol=0.0)
-    need = np.array(needs[: len(values)], dtype=np.int64)
-    held = [ms.count_near(v, tol) >= m for v, m in zip(values, need.tolist())]
-    assert ms._holds(np.array(values, dtype=np.float64), need, tol).tolist() == held
+    view = ms._view()
+    held = [ms.count_near(v, tol) >= m for v, m in zip(values, needs)]
+    assert [_holds(view, v, m, tol) for v, m in zip(values, needs)] == held
 
 
 def subtract_arrays(ms, pairs, tol, partial):

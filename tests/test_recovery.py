@@ -308,6 +308,26 @@ def test_recover_ratios_tie_where_every_branch_underflows():
         recover_ratios(cur, spec.lengths(), w)
 
 
+@pytest.mark.parametrize(
+    "extra, lengths, error",
+    [
+        ([-3.0], [(2.0, 1)], NegativeMultiplicity),
+        ([0.0], [(2.0, 1)], NegativeMultiplicity),
+        ([-3.0], [(2.0, 1), (0.2, 1)], IncompleteWindow),  # 0.2 is window short at c = 0.5
+    ],
+    ids=["negative_left", "zero_left", "negative_left_window_short"],
+)
+def test_ratio_search_names_the_smallest_entry_it_leaves(extra, lengths, error):
+    # the search empties every positive entry and the entry of extra remains:
+    # the error names it, as the reference does, and not None
+    w = ZeroWindow(0, 20.0)
+    cur = RealMultiset.from_values(class_trace(2.0, 1.0, (1, -1), w) + extra)
+    want = ratio_outcome(recover_ratios_reference, cur, lengths, w, 1e-9)
+    left = extra[0]
+    assert want[0] is error and want[1].endswith((f"value {left!r}", f"(stuck at {left!r})"))
+    assert ratio_outcome(with_audit, cur, lengths, w, 1e-9) == want
+
+
 def test_peeling_terminates_in_class_count_iterations(rng):
     for _ in range(10):
         spec = rand_spectrum(rng, max_classes=12)
@@ -428,7 +448,7 @@ def test_candidates_match_per_candidate_probe_reference(lengths, holonomies, mul
     while (mp := cur.min_positive()) is not None:
         c, mult = mp
         ctxs = [_SearchCtx(w=w, tol=tol, band=tol * max(1.0, w.im_bound)) for _ in range(2)]
-        got = _candidates(cur, avail, c, 0, ctxs[0])
+        got = _candidates(cur._view(), avail, c, 0, ctxs[0])
         want = candidates_reference(cur, avail, c, mult, ctxs[1])
         kept = []
         for cd in got:
@@ -456,10 +476,10 @@ def test_candidate_probe_asks_both_traces_for_their_points(k):
     r = _n_range(a, b, k, w.im_bound)
     c = trace.min_positive()[0]
     ctx = _SearchCtx(w=w, tol=1e-9, band=1e-9 * w.im_bound)
-    assert len(_candidates(trace, [[a, 1]], c, 0, ctx)) == 1
+    assert len(_candidates(trace._view(), [[a, 1]], c, 0, ctx)) == 1
     for n in (r[1], r[-2]):
         missing = trace.subtract([((-b * k - TWO_PI * n) / a, 1)], 0.0)
-        assert _candidates(missing, [[a, 1]], c, 0, ctx) == []
+        assert _candidates(missing._view(), [[a, 1]], c, 0, ctx) == []
 
 
 def with_audit(cur, lengths, w, tol):
@@ -612,6 +632,13 @@ def test_recover_ratios_counts_a_huge_trace_without_len():
         recover_ratios(
             RealMultiset.from_values([1e-300]), RealMultiset([(1e300, 1)]), ZeroWindow(0, 10.0)
         )
+
+
+def test_recover_ratios_refuses_a_class_without_a_finite_n_range():
+    # length 10 at im_bound 1e308: im_bound * a overflows, so the candidate's
+    # n-range is refused where _candidates asks for it
+    with pytest.raises(DomainError, match=r"no finite n-range for class \(10\.0, 1\.0\)"):
+        recover_ratios(RealMultiset([(0.1, 1)]), [(10.0, 1)], ZeroWindow(0, 1e308))
 
 
 # ---------------------------------------------------------------------------
@@ -838,11 +865,11 @@ def test_ratio_round_admit_sets_no_window_flag_the_first_step_left(a0, b0, grow,
     c2s = [c2 for c2 in c2s if c < c2 < reach - 2.0 * tol]
     avail = [[a0, 2]] + [[x * PI / c, 1] for x in xs]
     avail += [[(PI + tol / 2) / c2, 1] for c2 in c2s]
-    cur = RealMultiset.from_values([c])
-    _candidates(cur, avail, c, 0, ctx)  # the first step's own call
+    view = RealMultiset.from_values([c])._view()
+    _candidates(view, avail, c, 0, ctx)  # the first step's own call
     short = ctx.window_short
     first = (c, recovery._Candidate("ratio", 0, a0, b0, (1, -1), 1, 1, 7), 1)
-    admit = recovery._forced(cur, avail, first, ctx)
+    admit = recovery._forced(view, avail, first, ctx)
     for c2 in c2s:
         admit(c2, 1)
         assert ctx.window_short is short
