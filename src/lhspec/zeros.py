@@ -142,13 +142,15 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     when it reaches the point cap.
     """
     tau_m = _whole(tau, "twist index", 0)
-    per_class = (2 * tau_m + 1) * (w.max_m + 1) * (w.max_m + 2) // 2
+    # progressions per class, capped so that no huge int meets a float or
+    # np.repeat: every width is above 1, so a class past the cap is refused
+    per_class = min((2 * tau_m + 1) * (w.max_m + 1) * (w.max_m + 2) // 2, _POINT_CAP)
     with np.errstate(over="ignore"):
         widths = w.im_bound * diff._lengths / math.pi + 1.0
     if not np.isfinite(widths).all():  # im_bound * a overflows: no n-range, as _n_range says
         c = int(np.flatnonzero(~np.isfinite(widths))[0])
         _n_range(diff._lengths.item(c), diff._holonomies.item(c), 0, w.im_bound)
-    if min(per_class, _POINT_CAP) * float(widths.sum()) >= _POINT_CAP:  # no float of a huge int
+    if per_class * float(widths.sum()) >= _POINT_CAP:
         msg = (
             f"zero multiset of twist index {tau_m} in window {tuple(w)!r} asks for "
             f"{_POINT_CAP} points or more (the point cap)"
@@ -170,8 +172,6 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     sizes = [im.size for im in ims]
     re = np.repeat(np.array(res, dtype=np.float64), sizes)
     im = np.concatenate(ims) if ims else np.empty(0)
-    # every class contributes the same number of progressions
-    per_class = len(ims) // max(len(diff), 1)
     counts = np.repeat(np.repeat(diff._counts, per_class), sizes)
     return ComplexMultiset._from_arrays(re, im, counts, tol=TAU_ZERO)
 

@@ -27,7 +27,7 @@ so values equal math.fsum of every term bit for bit.  Otherwise every term
 is summed (see _euler_sum).  Kept factors within 2**-30 of 1 (whose real
 part is not exactly 1) take their logs from the series z - z**2/2 of
 z = f - 1, whose distance from np.log is bounded and added to the slack;
-where that wider slack cannot certify a sum, they take np.log after all.
+where that wider slack cannot certify a sum, every term is summed.
 The full product converges for Re(s) > 2; the truncated one is defined
 wherever no factor vanishes, with a ConvergenceWarning outside the
 half-plane.
@@ -442,11 +442,9 @@ def _euler_sum(grid: _Grid, weights: np.ndarray, terms, series=None, zero_re=Fal
     the two differ by less than 2**-44 times these.  err is that times the
     weights, summed, and raised by 2**-20 of itself and by 2**-1000 per
     factor and unit of weight for terms that underflow.  A part is
-    certified from these terms with its slack plus err.  Where that fails,
-    and unless even slack - err reaches a rounding boundary (then slack
-    does for the terms of np.log, within err), the near rows take
-    ``terms`` and the part is certified again with its own slack.  So
-    every term is summed exactly where it would be without near rows.
+    certified from these terms with its slack plus err; where that fails,
+    every term is summed, as fsum of every term is the value that the terms
+    of np.log would certify.
     """
     bounds = _row_bounds(grid, weights)
     lead = _kept_rows(grid, bounds[1])
@@ -465,29 +463,16 @@ def _euler_sum(grid: _Grid, weights: np.ndarray, terms, series=None, zero_re=Fal
         near = None
         if series is not None:  # kept rows, as left-out rows have em == 1.0
             near = (bounds[1] <= _NEAR * min(float(bounds[1].max()), 1.0)) & (grid.em < 1.0)
-            if not near.any():
-                near = None
         factors, classes, e = grid.factors(lead, near)
         w = weights[classes]
-        if e == factors.shape[1]:  # no near rows
-            parts = terms(factors, w)
-            sums = [_certified_sum(_scaled_sum(part), slack) for part, slack in zip(parts, slacks)]
-        else:
+        if e < factors.shape[1]:
             *parts, errs = series(factors, w, e)
-            exact = None
-            for j, (part, slack, err) in enumerate(zip(parts, slacks, errs)):
-                total = _scaled_sum(part)
-                sums[j] = _certified_sum(total, slack + err)
-                if sums[j] is not None:
-                    continue
-                # the exact logs sum to within err of total: where even slack - err
-                # reaches a rounding boundary, slack does for them, and every term is summed
-                if total and err < slack and _certified_sum(total, slack - err) is None:
-                    continue
-                if exact is None:
-                    exact = terms(factors[:, e:], w[e:])
-                part[:, e:] = exact[j]
-                sums[j] = _certified_sum(_scaled_sum(part), slack)
+        else:  # no near rows
+            *parts, errs = *terms(factors, w), (0.0, 0.0)
+        sums = [
+            _certified_sum(_scaled_sum(part), slack + err)
+            for part, slack, err in zip(parts, slacks, errs)
+        ]
     if None in sums:
         every = terms(grid.every(), weights[:, None, None, None])
         sums = [_exact_sum(t) if v is None else v for v, t in zip(sums, every)]
@@ -547,10 +532,15 @@ def log_derivative(spec: Spectrum, tau, s: complex, tr) -> complex:
     Every local factor 1 - exp(-X) contributes a(p)*(1/f - 1) with f the
     factor value, since exp(-X) = 1 - f and dX/ds = a(p).  Raises
     FactorZero if s is a zero of some local factor and DomainError when the
-    sum is not finite (where exp(-X) itself is past the float range).
+    sum is not finite (where exp(-X) itself is past the float range) or
+    when fsum of every term overflows an intermediate sum.
     """
     weights = spec._counts * spec._lengths
-    value = _euler_sum(_grid(spec, tau, s, tr), weights, _psi_terms, zero_re=True)
+    grid = _grid(spec, tau, s, tr)
+    try:
+        value = _euler_sum(grid, weights, _psi_terms, zero_re=True)
+    except OverflowError as exc:  # from math.fsum in _exact_sum
+        raise DomainError(f"log-derivative at s={s!r} is past the float range: {exc}") from None
     if not cmath.isfinite(value):
         raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
     return value

@@ -104,6 +104,8 @@ def _boost(x: str) -> str:
 
 C20, S20 = math.cosh(20.0), math.sinh(20.0)
 IMPROPER = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, C20, S20], [0, 0, S20, C20]]  # det -1
+# lengths past the 1e300 of MAGNITUDES: fsum of every psi term overflows an intermediate sum
+BIG = _spectrum_file([(1.7e308, 0.5, 1), (1.7e308, 1.5, 1), (1.7e308, 2.5, 1)], "csv")
 
 
 @given(invocations())
@@ -111,6 +113,7 @@ IMPROPER = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, C20, S20], [0, 0, S20, C20]]  # 
 @example(("classify", _boost("Infinity"), ".json", []))
 @example(("classify", _boost("1e230"), ".json", []))
 @example(("classify", json.dumps(IMPROPER), ".json", []))
+@example(("psi", BIG, ".csv", ["--s=0+0.3i", "--maxm", "0"]))
 @settings(max_examples=600, deadline=None)
 def test_cli_ends_in_one_json_document(invocation):
     command, text, suffix, args = invocation

@@ -445,6 +445,17 @@ def test_zeta_past_the_float_range_is_domain_error(capsys):
     assert json.loads(capsys.readouterr().out)["value"]["re"] == -80
 
 
+def test_psi_whose_fsum_overflows_is_domain_error(tmp_path, capsys):
+    # the every-term fsum of the log-derivative overflows an intermediate sum
+    path = tmp_path / "big.csv"
+    path.write_text("length,holonomy,multiplicity\n1.7e308,0.5,1\n1.7e308,1.5,1\n1.7e308,2.5,1\n")
+    code = run_cli(["psi", str(path), "--s=0+0.3i", "--maxm", "0"])
+    captured = capsys.readouterr()
+    assert code == 1 and "Traceback" not in captured.err
+    err = json.loads(captured.out)["error"]
+    assert err["code"] == "domain_error" and "past the float range" in err["message"]
+
+
 @pytest.mark.parametrize("command", ["zeta", "psi"])
 def test_overflowing_factor_grid_is_domain_error(command, capsys):
     # at Re(s) = -800 exp(-X) itself overflows, so the psi sum is not finite

@@ -300,6 +300,17 @@ def test_zeta_past_the_float_range_is_domain_error():
         assert log_derivative(small, 0, s, 3).real == -80.0
 
 
+def test_log_derivative_whose_fsum_overflows_is_domain_error():
+    # three terms near 1.7e308 whose every-term fsum overflows an intermediate
+    # sum, while the log-sum of zeta on the same spectrum is small
+    big = Spectrum([(1.7e308, 0.5, 1), (1.7e308, 1.5, 1), (1.7e308, 2.5, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ConvergenceWarning)
+        with pytest.raises(DomainError, match="log-derivative at s=0.3j is past the float range"):
+            log_derivative(big, 0, 0.3j, 0)
+        assert cmath.isfinite(zeta_tau(big, 0, 0.3j, 0))
+
+
 def test_zeta_ratio_numerator_zero_propagates():
     num = Spectrum([(1.0, 0.0, 1)])
     den = Spectrum([(2.0, 1.0, 1)])
@@ -483,7 +494,8 @@ def _points(f, classes):
 # a left-out row holds factors 1 + i*y, |y| <= damp, so each of its terms is
 # within 8 times its row bound, w * damp**2 (real part) and w * damp
 # (imaginary part); the gathered factors are those of the full grid, in
-# either block, and the second block holds those of the rows marked near
+# either block, and the second block holds those of the rows marked near,
+# so that a mask that marks no row gives one block
 @given(
     class_rows,
     st.integers(0, 2),
@@ -515,6 +527,10 @@ def test_left_out_terms_lie_within_their_bounds(rows, tau_m, s, max_m):
         factors, classes, size = grid.factors(lead)
         assert size == factors.shape[1]
         assert np.array_equal(_points(factors, classes), _points(grid_points[:, kept], c))
+        # no row marked near: one block, as with no mask
+        none_near = grid.factors(lead, np.zeros(grid.damp.shape, dtype=bool))
+        assert none_near[2] == none_near[0].shape[1]
+        assert np.array_equal(_points(*none_near[:2]), _points(factors, classes))
         near = (np.arange(2 * max_m + 1) % 2 == 1) & (np.arange(2 * max_m + 1) < lead[:, None])
         factors, classes, size = grid.factors(lead, near)
         marked = kept & near[:, n]
@@ -560,9 +576,9 @@ def _value(f, *args):
     return v.real.hex(), v.imag.hex()
 
 
-# a sweep case whose series certification fails and whose exact logs then
-# certify, and one where even slack - err reaches a rounding boundary, so that
-# every term is summed as without near rows
+# two sweep cases whose series certification fails, so that every term is
+# summed: in RETRIED the terms of np.log certify the part from its slack, and
+# in FELL_BACK they do not, so every term is summed without near rows too
 RETRIED = (
     [
         (1.9334842853651435, 5.637762460837776, 2),
@@ -622,42 +638,36 @@ def test_near_rows_move_no_value(rows, tau_m, s, max_m):
         ([(1.0, 0.5, 1)], 0, 3 + 0.25j, 30),
     ],
 )
-def test_a_failed_series_certification_retries_with_the_exact_logs(case):
-    # with a huge error factor the series never certifies and err exceeds the
-    # slack, so every near block takes np.log and is certified again: the values
-    # are those with no near rows, and every term is summed no more often
+def test_a_failed_series_certification_sums_every_term(case):
+    # with a huge error factor the series never certifies: the near block takes
+    # no np.log, every term is summed, and the values are those with no near rows
     spec, tau_m, s, max_m = Spectrum(case[0]), *case[1:]
-    every = mock.patch.object(
-        zeta_module._Grid, "every", autospec=True, side_effect=zeta_module._Grid.every
-    )
     series = mock.Mock(wraps=zeta_module._log_series)
     exact = mock.Mock(wraps=zeta_module._log_terms)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ConvergenceWarning)
-        with every as off, mock.patch.object(zeta_module, "_NEAR", 0.0):
+        with mock.patch.object(zeta_module, "_NEAR", 0.0):
             want = _value(zeta_tau, spec, tau_m, s, max_m)
-        with every as forced, mock.patch.object(zeta_module, "_SERIES_ERR", 2.0**60):
+        with mock.patch.object(zeta_module, "_SERIES_ERR", 2.0**60):
             with mock.patch.object(zeta_module, "_log_series", series):
                 with mock.patch.object(zeta_module, "_log_terms", exact):
                     got = _value(zeta_tau, spec, tau_m, s, max_m)
     assert got == want
     assert series.call_count == 1
-    assert exact.call_count >= 1  # the near block's exact logs
-    assert forced.call_count <= off.call_count
+    assert exact.call_count == 1 and exact.call_args.args[0].ndim == 4  # the full grid
 
 
 def test_a_series_certification_that_cannot_hold_for_np_log_sums_every_term():
-    # in FELL_BACK one part fails even with slack - err, so with the terms of
-    # np.log, within err, it fails with its slack too: the near block takes
-    # no np.log, and every term is summed at once
+    # in FELL_BACK one part fails its certification with the default error
+    # factor: the near block takes no np.log, and every term is summed at once
     spec, tau_m, s, max_m = Spectrum(FELL_BACK[0]), *FELL_BACK[1:]
     exact = mock.Mock(wraps=zeta_module._log_terms)
     with warnings.catch_warnings(), mock.patch.object(zeta_module, "_log_terms", exact):
         warnings.simplefilter("ignore", ConvergenceWarning)
         got = _value(zeta_tau, spec, tau_m, s, max_m)
-    assert exact.call_count == 1 and exact.call_args.args[0].ndim == 4  # the full grid
-    with mock.patch.object(zeta_module, "_NEAR", 0.0):
-        assert got == _value(zeta_tau, spec, tau_m, s, max_m)
+        assert exact.call_count == 1 and exact.call_args.args[0].ndim == 4  # the full grid
+        with mock.patch.object(zeta_module, "_NEAR", 0.0):
+            assert got == _value(zeta_tau, spec, tau_m, s, max_m)
 
 
 def _one_minus_exp(re_x, im_x):
