@@ -136,10 +136,11 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
 
     Runs over k in {-m..m}, lattice points with m1 + m2 <= max_m, and all
     in-window integers n; coincident values merge with exact multiplicities.
-    Each class gives (2m+1)(max_m+1)(max_m+2)/2 progressions, of at most
-    im_bound*a/pi + 1 points each: their product, summed over the classes,
-    is counted before any progression is built, and DomainError raised
-    when it reaches the point cap.
+    Progression (k, m1, m2) is trace row d = m1 - m2 + k of its class, on the
+    line Re(s) = -(m1 + m2).  Each class gives (2m+1)(max_m+1)(max_m+2)/2
+    progressions, of at most im_bound*a/pi + 1 points each: their product,
+    summed over the classes, is counted before any row is built, and
+    DomainError raised when it reaches the point cap.
     """
     tau_m = _whole(tau, "twist index", 0)
     # progressions per class, capped so that no huge int meets a float or
@@ -156,22 +157,19 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
             f"{_POINT_CAP} points or more (the point cap)"
         )
         raise DomainError(msg)
-    # one progression per (class, k, m1, m2) in this order, which decides the
-    # sign of a zero imaginary part where -0.0 and 0.0 coincide
-    ims: list[np.ndarray] = []
-    res: list[float] = []
-    reach = tau_m + w.max_m  # |m1 - m2 + k| <= reach
-    kks = range(-reach, reach + 1)
-    for a, b in zip(diff._lengths.tolist(), diff._holonomies.tolist()):
-        lines = dict(zip(kks, _traces([(a, b)], kks, w.im_bound)))
-        for k in range(-tau_m, tau_m + 1):
-            for m1 in range(w.max_m + 1):
-                for m2 in range(w.max_m + 1 - m1):
-                    ims.append(lines[m1 - m2 + k])
-                    res.append(float(-(m1 + m2)))
-    sizes = [im.size for im in ims]
-    re = np.repeat(np.array(res, dtype=np.float64), sizes)
-    im = np.concatenate(ims) if ims else np.empty(0)
+    if not diff:  # no lattice is built, however large max_m is
+        return ComplexMultiset()
+    reach = tau_m + w.max_m  # row d of class c is rows[c * (2 * reach + 1) + reach + d]
+    classes = zip(diff._lengths.tolist(), diff._holonomies.tolist())
+    rows = _traces(classes, range(-reach, reach + 1), w.im_bound)
+    # one progression per (class, k, m1, m2) in this order, which decides the sign
+    # of a zero where -0.0 and 0.0 coincide; (m1, m1 + m2) runs m1-major, m2 ascending
+    m1, m = np.nonzero(np.tri(w.max_m + 1, dtype=bool).T)  # the upper triangle's indices
+    at = np.arange(len(diff))[:, None, None] * (2 * reach + 1) + reach
+    at = (at + np.arange(-tau_m, tau_m + 1)[:, None] + 2 * m1 - m).ravel()  # d = m1 - m2 + k
+    sizes = np.array([r.size for r in rows])[at]
+    re = np.repeat(np.tile((-m).astype(np.float64), at.size // m.size), sizes)
+    im = np.concatenate(list(map(rows.__getitem__, at.tolist())))
     counts = np.repeat(np.repeat(diff._counts, per_class), sizes)
     return ComplexMultiset._from_arrays(re, im, counts, tol=TAU_ZERO)
 

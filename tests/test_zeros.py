@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lhspec import (
@@ -160,11 +160,26 @@ zero_rows = st.lists(
 
 
 @given(zero_rows, st.integers(0, 2), st.integers(0, 2), st.floats(0.5, 30.0))
+@example([(1.0, 0.0, 1)], 0, 1, 5.0)  # the Re(s) = 0 line is 0.0, never -0.0
 @settings(max_examples=200, deadline=None)
 def test_zero_multiset_matches_pointwise_reference(rows, tau_m, max_m, im_bound):
     spec, w = Spectrum(rows), ZeroWindow(max_m, im_bound)
     want = zero_multiset_entries_reference(spec, tau_m, w)
     assert repr(zero_multiset(spec, tau_m, w).entries) == repr(want)
+
+
+def test_zero_multiset_builds_every_class_in_one_traces_call(monkeypatch):
+    spec, w = Spectrum([(1.0, 0.5, 1), (1.5, 2.0, 2), (2.0, 0.0, 1)]), ZeroWindow(2, 10.0)
+    want = zero_multiset(spec, 1, w)
+    calls, real = [], zeros._traces
+
+    def counted(classes, *args):
+        calls.append(list(classes))
+        return real(calls[-1], *args)
+
+    monkeypatch.setattr(zeros, "_traces", counted)
+    assert zero_multiset(spec, 1, w) == want
+    assert calls == [[(1.0, 0.5), (1.5, 2.0), (2.0, 0.0)]]
 
 
 def test_zero_line_is_the_re_zero_slice(rng):

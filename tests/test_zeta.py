@@ -443,6 +443,14 @@ points = st.sampled_from([0j, -1 + 0j, 2.5 + 0j, 2.05 + 0.5j]) | st.builds(
 # straddles a rounding boundary and every term is summed
 @example([(0.5, 0.7, 1), (5.0, 2.0, 3)], 1, 4 + 0.5j, 30, 1.0)
 @example([(1.0, 0.0, 1)], 0, 3 + 0j, 30, 1.0)
+# terms near 1e308 overflow an intermediate sum of fsum: a DomainError
+@example(
+    [(1.0, 0.0, 3), (1.0, math.pi, 1)],
+    0,
+    complex(1.1125369292536007e-308, 1.1125369292536007e-308),
+    30,
+    zeta_module._CUT,
+)
 @settings(max_examples=150, deadline=None)
 def test_grid_sums_match_fsum_reference(rows, tau_m, s, max_m, cut):
     spec = Spectrum(rows)
@@ -743,8 +751,11 @@ def test_fsum_of_an_exact_zero_with_a_plus_zero_term_is_plus_zero():
 
 
 def psi_reference(spec, tau_m, s, max_m):
-    """The fsum reference of log_derivative, which refuses a sum that is not finite."""
-    value = grid_sum_reference(spec, tau_m, s, max_m, False)
+    """The fsum reference of log_derivative, which refuses a sum that overflows or is not finite."""
+    try:
+        value = grid_sum_reference(spec, tau_m, s, max_m, False)
+    except OverflowError as exc:  # an intermediate sum of fsum
+        raise DomainError(f"log-derivative at s={s!r} is past the float range: {exc}") from None
     if not cmath.isfinite(value):
         raise DomainError(f"log-derivative at s={s!r} is not finite: {value!r}")
     return value
