@@ -31,9 +31,10 @@ _TOO_MANY = "total multiplicity reaches 2**63 (counts are int64)"
 
 def _within(xs: list[np.ndarray], ys: list[np.ndarray], tol: float) -> np.ndarray:
     """Whether the rows of the columns xs and ys lie within tol in every column."""
-    out = np.abs(xs[0] - ys[0]) <= tol
-    for x, y in zip(xs[1:], ys[1:]):
-        out &= np.abs(x - y) <= tol
+    with np.errstate(over="ignore"):  # a gap past the float range is inf, past every tol
+        out = np.abs(xs[0] - ys[0]) <= tol
+        for x, y in zip(xs[1:], ys[1:]):
+            out &= np.abs(x - y) <= tol
     return out
 
 
@@ -62,16 +63,21 @@ def _count_array(counts) -> np.ndarray:
         raise DomainError(_TOO_MANY) from None
 
 
+def _check_total(counts: np.ndarray) -> None:
+    """DomainError when nonnegative int64 counts total 2**63 or more."""
+    # the int64 sum cannot wrap while max * size stays below the limit
+    if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
+        if sum(counts.tolist()) >= COUNT_LIMIT:
+            raise DomainError(_TOO_MANY)
+
+
 def _canonical(
     cols: list[np.ndarray], counts: np.ndarray, order: np.ndarray, tol: float
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Rows of float64 columns with nonnegative int64 counts, put in ``order``
     and clustered within tol of their cluster head in every column."""
     _check_tol(tol, ValueError)
-    # the int64 sum cannot wrap while max * size stays below the limit
-    if counts.size and int(counts.max()) * counts.size >= COUNT_LIMIT:
-        if sum(counts.tolist()) >= COUNT_LIMIT:
-            raise DomainError(_TOO_MANY)
+    _check_total(counts)
     cols, counts = [c[order] for c in cols], counts[order]
     near = _within([c[1:] for c in cols], [c[:-1] for c in cols], tol)
     if near.any():
@@ -392,6 +398,31 @@ class ComplexMultiset(_Multiset):
         # a stable sort by (re, im) alone: equal values keep insertion order
         return np.lexsort((im, re))
 
+    @classmethod
+    def _from_lines(cls, lines: Iterable[tuple[int, np.ndarray, np.ndarray]], tol: float):
+        """Canonical multiset of (re, im, counts) lines, each of one Re value.
+
+        The Re values ascend more than tol apart, so no cluster spans two
+        lines and the canonical form is the lines' own joined in order: each
+        line is sorted by Im alone and clustered.  Im holds no NaN, so equal
+        values are equal bit for bit, save 0.0 and -0.0: once every zero of
+        a line takes the sign of its first, any sort of Im gives what the
+        stable ``_order`` gives.  Each line's total is checked before it is
+        clustered, and the total of all lines once they are joined.
+        """
+        res, ims, cnts = [], [], []
+        for re, im, counts in lines:
+            zero = im == 0.0
+            if zero.any():
+                im = np.where(zero, im[zero.argmax()], im)
+            (im,), counts = _canonical([im], counts, im.argsort(), tol)
+            res.append(np.full(im.size, re, dtype=np.float64))
+            ims.append(im)
+            cnts.append(counts)
+        counts = np.concatenate(cnts)
+        _check_total(counts)
+        return cls._trusted(np.concatenate(res), np.concatenate(ims), counts)
+
     @property
     def entries(self) -> tuple[tuple[complex, int], ...]:
         return tuple(zip(map(complex, self._re.tolist(), self._im.tolist()), self._counts.tolist()))
@@ -430,7 +461,8 @@ def match_multisets(a: RealMultiset, b: RealMultiset, tol: float) -> MatchResult
     starts = np.sort(np.concatenate(([0] if n else [], ca[ca < n], cb[cb < n])))
     x = a._values[np.searchsorted(ca, starts, side="right")]
     y = b._values[np.searchsorted(cb, starts, side="right")]
-    d = np.abs(x - y)
+    with np.errstate(over="ignore"):  # a gap past the float range is inf, past every tol
+        d = np.abs(x - y)
     if na != nb:
         # witness: first element whose cumulative count disagrees
         bad = np.flatnonzero(d > tol)

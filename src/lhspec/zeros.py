@@ -15,6 +15,10 @@ The map (k, n) -> (-k, -n) negates every point, so the k < 0 trace of a
 class is its |k| trace mirrored through 0.  Every trace is built by
 ``_traces``, which builds each |k| row once and mirrors the k < 0 rows bit
 for bit, the sign of an exact zero included.
+
+The lines lie 1 apart, far past the zero tolerance, so no cluster of
+zeros spans two of them: ``zero_multiset`` sorts and clusters each line
+on its own, through ``ComplexMultiset._from_lines``, and joins them.
 """
 
 from __future__ import annotations
@@ -141,6 +145,11 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     progressions, of at most im_bound*a/pi + 1 points each: their product,
     summed over the classes, is counted before any row is built, and
     DomainError raised when it reaches the point cap.
+
+    The lines are built one at a time, Re(s) ascending, and each is sorted
+    by Im and clustered alone (``ComplexMultiset._from_lines``): they lie 1
+    apart and the tolerance is TAU_ZERO, so no cluster spans two lines.
+    DomainError when the total multiplicity of all lines reaches 2**63.
     """
     tau_m = _whole(tau, "twist index", 0)
     # progressions per class, capped so that no huge int meets a float or
@@ -162,16 +171,19 @@ def zero_multiset(diff: Spectrum, tau, w: ZeroWindow) -> ComplexMultiset:
     reach = tau_m + w.max_m  # row d of class c is rows[c * (2 * reach + 1) + reach + d]
     classes = zip(diff._lengths.tolist(), diff._holonomies.tolist())
     rows = _traces(classes, range(-reach, reach + 1), w.im_bound)
-    # one progression per (class, k, m1, m2) in this order, which decides the sign
-    # of a zero where -0.0 and 0.0 coincide; (m1, m1 + m2) runs m1-major, m2 ascending
-    m1, m = np.nonzero(np.tri(w.max_m + 1, dtype=bool).T)  # the upper triangle's indices
-    at = np.arange(len(diff))[:, None, None] * (2 * reach + 1) + reach
-    at = (at + np.arange(-tau_m, tau_m + 1)[:, None] + 2 * m1 - m).ravel()  # d = m1 - m2 + k
-    sizes = np.array([r.size for r in rows])[at]
-    re = np.repeat(np.tile((-m).astype(np.float64), at.size // m.size), sizes)
-    im = np.concatenate(list(map(rows.__getitem__, at.tolist())))
-    counts = np.repeat(np.repeat(diff._counts, per_class), sizes)
-    return ComplexMultiset._from_arrays(re, im, counts, tol=TAU_ZERO)
+    sizes = np.array([r.size for r in rows])
+    # the row of d = k for each (class, k)
+    at_k = np.arange(len(diff))[:, None] * (2 * reach + 1) + reach + np.arange(-tau_m, tau_m + 1)
+
+    def line(m: int):
+        # one progression per (class, k, m1) with m2 = m - m1, in this order,
+        # which decides the sign of a zero where -0.0 and 0.0 coincide
+        at = (at_k[:, :, None] + 2 * np.arange(m + 1) - m).ravel()  # d = m1 - m2 + k
+        im = np.concatenate(list(map(rows.__getitem__, at.tolist())))
+        counts = np.repeat(np.repeat(diff._counts, at.size // len(diff)), sizes[at])
+        return -m, im, counts  # an int Re, so line 0 is 0.0, never -0.0
+
+    return ComplexMultiset._from_lines(map(line, range(w.max_m, -1, -1)), tol=TAU_ZERO)
 
 
 def zero_line(diff: Spectrum, tau, w: ZeroWindow) -> RealMultiset:

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lhspec import (
@@ -381,6 +381,11 @@ def test_zeros_total_multiplicity_past_int64_ends_in_json(tmp_path, capsys):
     assert run_cli(["zeros", str(path), "--tau", "0", "--maxm", "0", "--imbound", "1"]) == 0
     assert [z["multiplicity"] for z in json.loads(capsys.readouterr().out)["zeros"]] == [2**62]
     assert run_cli(["zeros", str(path), "--imbound", "10"]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
+    # 2**60 on each of 9 zeros over two lines, neither of which reaches 2**63 alone
+    path.write_text("length,holonomy,multiplicity\n1.0,0.5,1152921504606846976\n")
+    args = ["zeros", str(path), "--tau", "0", "--maxm", "1", "--imbound", "10"]
+    assert run_cli(args) == 1
     assert json.loads(capsys.readouterr().out)["error"]["code"] == "domain_error"
 
 
@@ -829,6 +834,7 @@ def load_zero_data(text: str) -> dict:
         max_size=8,
     )
 )
+@example(rows=[(1.7976931348623157e308, 0), (-9.9792015476736e291, 0)])  # a gap past the float range
 def test_zero_data_lines_are_the_multisets_of_their_rows(rows):
     # values within the default zero tolerance merge, zero multiplicities drop
     body = [{"value": v, "multiplicity": m} for v, m in rows]

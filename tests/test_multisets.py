@@ -329,6 +329,16 @@ def test_negative_tolerance_rejected():
             multiset_equal(RealMultiset([(1.0, 1)]), RealMultiset([(5.0, 1)]), tol)
 
 
+def test_values_further_apart_than_the_float_range_are_distinct():
+    # 1.8e308 - (-1e292) overflows to inf, which is past every tolerance
+    rows = [(1.7976931348623157e308, 1), (-9.9792015476736e291, 2)]
+    ms = RealMultiset(rows)
+    assert ms.entries == tuple(sorted(rows))
+    assert ComplexMultiset((complex(v, 0.0), m) for v, m in rows).total() == 3
+    a, b = RealMultiset(rows[:1]), RealMultiset([(-1.7976931348623157e308, 1)])
+    assert match_multisets(a, b, 1e-9) == MatchResult(False, math.inf, 1.7976931348623157e308)
+
+
 @given(st.lists(finite, max_size=12))
 @settings(max_examples=200, deadline=None)
 def test_equal_is_reflexive_at_tol_zero(values):

@@ -122,6 +122,13 @@ def test_zero_multiset_empty():
     assert not zero_multiset(Spectrum(), 1, ZeroWindow(2, 5.0))
 
 
+def test_zero_multiset_total_past_int64_across_lines():
+    # 9 zeros of multiplicity 2**60: 3 on Re(s) = 0 and 6 on Re(s) = -1, so
+    # neither line reaches 2**63 = 8 * 2**60, but the two lines together do
+    with pytest.raises(DomainError, match="total multiplicity reaches 2\\*\\*63"):
+        zero_multiset(Spectrum([(1.0, 0.5, 2**60)]), 0, ZeroWindow(1, 10.0))
+
+
 def test_zero_line_pure_length_example():
     zl = zero_line(Spectrum([(1.0, 0.0, 1)]), 0, ZeroWindow(0, 10.0))
     assert zl.entries == ((-TWO_PI, 1), (0.0, 1), (TWO_PI, 1))
@@ -147,20 +154,21 @@ def test_zero_multiset_matches_brute_force_oracle(rng):
         assert zero_multiset(spec, 1, w) == brute_zeros(spec, 1, w)
 
 
-# commensurable lengths and holonomies 0 and pi make coincident zeros, where
-# the first generated of 0.0 and -0.0 represents a cluster
+# commensurable lengths and holonomies 0, -0.0 and pi make coincident zeros,
+# where the first generated of 0.0 and -0.0 represents a cluster
 zero_rows = st.lists(
     st.tuples(
         st.sampled_from([1.0, 2.0, 0.5, math.pi]) | st.floats(0.3, 5.0),
-        st.sampled_from([0.0, math.pi]) | st.floats(0.0, TWO_PI, exclude_max=True),
+        st.sampled_from([0.0, -0.0, math.pi]) | st.floats(0.0, TWO_PI, exclude_max=True),
         st.integers(1, 3),
     ),
     max_size=4,
 )
 
 
-@given(zero_rows, st.integers(0, 2), st.integers(0, 2), st.floats(0.5, 30.0))
+@given(zero_rows, st.integers(0, 2), st.integers(0, 3), st.floats(0.5, 30.0))
 @example([(1.0, 0.0, 1)], 0, 1, 5.0)  # the Re(s) = 0 line is 0.0, never -0.0
+@example([(1.0, -0.0, 1), (2.0, math.pi, 2)], 1, 3, 7.0)  # four lines, zeros of both signs
 @settings(max_examples=200, deadline=None)
 def test_zero_multiset_matches_pointwise_reference(rows, tau_m, max_m, im_bound):
     spec, w = Spectrum(rows), ZeroWindow(max_m, im_bound)
